@@ -9,7 +9,7 @@ from .sampling import (SampleSet, Partition, UniformBox, draw_samples,
                        partition_uniform, partition_linear)
 from .schedule import NodeSchedule, make_schedule, segment_of, theta, theta_prime
 from .saa import StochasticSystem, BlendedMap, check_coercivity, fd_jacobian_batch
-from .homotopy import HomotopyMap, transform, transform_derivs, solve_start_y
+from .homotopy import HomotopyMap, transform_derivs, solve_start_y
 from .tracer import (TraceConfig, TraceResult, PathPoint, trace, tangent,
                      correct, path_to_csv, SingularJacobianError)
 from .newton import damped_newton, NewtonFailure
@@ -22,7 +22,7 @@ __all__ = [
     "partition_uniform", "partition_linear",
     "NodeSchedule", "make_schedule", "segment_of", "theta", "theta_prime",
     "StochasticSystem", "BlendedMap", "check_coercivity", "fd_jacobian_batch",
-    "HomotopyMap", "transform", "transform_derivs", "solve_start_y",
+    "HomotopyMap", "transform_derivs", "solve_start_y",
     "TraceConfig", "TraceResult", "PathPoint", "trace", "tangent", "correct",
     "path_to_csv", "SingularJacobianError",
     "damped_newton", "NewtonFailure",

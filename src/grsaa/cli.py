@@ -221,6 +221,7 @@ def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
     out = {"min_inner_product": report["min_inner_product"],
            "warning": report["warning"],
            "boundary_points": report["boundary_points"],
+           "grid_density": report["grid_density"],
            "samples_tested": report["samples_tested"],
            "argmin_x": None if report["argmin"][0] is None
            else np.asarray(report["argmin"][0]).tolist(),
@@ -228,8 +229,8 @@ def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
            "config": asdict(cfg)}
     _write_artifacts(Path(cfg.out), cfg, out)
     word = "WARNING: condition violated on tested set" if report["warning"] else "ok"
-    print(f"min (x-x0).f(x,xi) over boundary grid = "
-          f"{report['min_inner_product']:.6g}  [{word}]")
+    print(f"min (x-x0).f(x,xi) over boundary grid (density "
+          f"{report['grid_density']}) = {report['min_inner_product']:.6g}  [{word}]")
     return EXIT_OK
 
 

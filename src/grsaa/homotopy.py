@@ -18,26 +18,13 @@ the orientation y -> -y (which swaps neg and pos).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .saa import BlendedMap
 
-__all__ = ["HomotopyMap", "transform", "transform_derivs", "solve_start_y"]
-
-
-def transform(y: np.ndarray, t: float, kappa0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise (neg, pos) values; t = 0 uses the exact limit form."""
-    if t < 0:
-        raise ValueError("transform requires t >= 0")
-    if kappa0 < 2:
-        raise ValueError("kappa0 must be at least 2")
-    y = np.asarray(y, dtype=float)
-    if t == 0.0:
-        return np.maximum(-y, 0.0) ** kappa0, np.maximum(y, 0.0) ** kappa0
-    a_neg, a_pos = _transform_factors(y, t)
-    return a_neg ** kappa0, a_pos ** kappa0
+__all__ = ["HomotopyMap", "transform_derivs", "solve_start_y"]
 
 
 def _transform_factors(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -55,8 +42,11 @@ def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
     """Values and all first partials of the (neg, pos) pair.
 
     Returns keys neg, pos, dneg_dy, dpos_dy, dneg_dt, dpos_dt (each (M,),
-    the y-derivatives being the diagonals of the componentwise Jacobians).
+    the y-derivatives being the diagonals of the componentwise Jacobians);
+    t = 0 uses the exact limit form.
     """
+    if t < 0:
+        raise ValueError("transform requires t >= 0")
     if kappa0 < 2:
         raise ValueError("kappa0 must be at least 2")
     y = np.asarray(y, dtype=float)
@@ -157,50 +147,40 @@ class HomotopyMap:
         y1 = solve_start_y(self.B, self.b, self.x0, self.kappa0, t=1.0)
         return np.concatenate([self.x0, y1])
 
-    # -- plain -------------------------------------------------------------
+    def evaluate(self, u: np.ndarray, t: float, jac: bool = True):
+        """(h(u, t), J) from one pass of the blended map.
 
-    def eval_plain(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if t == 1.0:
-            return x - self.x0
-        d = self.blended.blend(x, t)
-        if t == 0.0:
-            return d
-        return (1.0 - t) * d + t * (x - self.x0) - t * (1.0 - t) * self.alpha
-
-    def jac_plain(self, x: np.ndarray, t: float) -> np.ndarray:
-        """n x (n+1) Jacobian; the last column is the t-derivative."""
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        J = np.empty((n, n + 1))
-        dd_dx = self.blended.blend_jac_x(x, t)
-        J[:, :n] = (1.0 - t) * dd_dx + t * np.eye(n)
-        d = self.blended.blend(x, t)
-        dd_dt = self.blended.blend_deriv_t(x, t)
-        J[:, n] = -d + (1.0 - t) * dd_dt + (x - self.x0) - (1.0 - 2.0 * t) * self.alpha
-        return J
-
-    # -- smoothed KKT ------------------------------------------------------
-
-    def eval_kkt(self, u: np.ndarray, t: float) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        n = self.n
-        x, y = u[:n], u[n:]
-        neg, pos = transform(y, t, self.kappa0)
-        d = self.blended.blend(x, t)
-        block1 = (1.0 - t) * (d - self.B.T @ neg) - t * (x - self.x0)
-        block2 = self.B @ x + pos - self.b
-        return np.concatenate([block1, block2])
-
-    def jac_kkt(self, u: np.ndarray, t: float) -> np.ndarray:
-        """(n+M) x (n+M+1) Jacobian in (x, y, t)."""
+        J is the dim x (dim + 1) Jacobian in (u, t), the last column being
+        the t-derivative, or None without jac.  The plain map at t = 1 is
+        the translation x - x0 and needs no sampling unless J is requested.
+        """
         u = np.asarray(u, dtype=float)
         n, M = self.n, self._M
         x, y = u[:n], u[n:]
+        if self.kind == "plain":
+            if t == 1.0 and not jac:
+                return x - self.x0, None
+            d, dd_dt, dd_dx = self.blended.evaluate(x, t, jac)
+            if t == 1.0:
+                h = x - self.x0
+            elif t == 0.0:
+                h = d
+            else:
+                h = (1.0 - t) * d + t * (x - self.x0) - t * (1.0 - t) * self.alpha
+            if not jac:
+                return h, None
+            J = np.empty((n, n + 1))
+            J[:, :n] = (1.0 - t) * dd_dx + t * np.eye(n)
+            J[:, n] = (-d + (1.0 - t) * dd_dt + (x - self.x0)
+                       - (1.0 - 2.0 * t) * self.alpha)
+            return h, J
         tr = transform_derivs(y, t, self.kappa0)
-        d = self.blended.blend(x, t)
-        dd_dx = self.blended.blend_jac_x(x, t)
-        dd_dt = self.blended.blend_deriv_t(x, t)
+        d, dd_dt, dd_dx = self.blended.evaluate(x, t, jac)
+        block1 = (1.0 - t) * (d - self.B.T @ tr["neg"]) - t * (x - self.x0)
+        block2 = self.B @ x + tr["pos"] - self.b
+        h = np.concatenate([block1, block2])
+        if not jac:
+            return h, None
         J = np.zeros((n + M, n + M + 1))
         # block 1 rows
         J[:n, :n] = (1.0 - t) * dd_dx - t * np.eye(n)
@@ -212,16 +192,4 @@ class HomotopyMap:
         J[n:, :n] = self.B
         J[n:, n:n + M] = np.diag(tr["dpos_dy"])
         J[n:, n + M] = tr["dpos_dt"]
-        return J
-
-    # -- unified surface used by the tracer --------------------------------
-
-    def eval(self, u: np.ndarray, t: float) -> np.ndarray:
-        if self.kind == "plain":
-            return self.eval_plain(u, t)
-        return self.eval_kkt(u, t)
-
-    def jac(self, u: np.ndarray, t: float) -> np.ndarray:
-        if self.kind == "plain":
-            return self.jac_plain(u, t)
-        return self.jac_kkt(u, t)
+        return h, J

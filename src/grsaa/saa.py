@@ -5,14 +5,15 @@ On segment l the map blends the cumulative sample averages f^{l-1} and f^l:
     d(x, t) = (1 - theta_l(t)) f^{l-1}(x) + theta_l(t) f^l(x)
 
 Because the first q_{l-1} samples are a prefix of the first q_l, one pass
-over q_l samples yields both averages; a blend call therefore costs exactly
-q_l single-sample residual evaluations, which is the machine-independent
-efficiency metric used throughout.
+over q_l samples yields both averages, hence d and its t-derivative; an
+evaluation at (x, t) therefore costs exactly q_l single-sample residual
+evaluations, which is the machine-independent efficiency metric used
+throughout, plus q_l per-sample Jacobians when dd/dx is requested.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,9 @@ from .sampling import Partition, SampleSet
 from .schedule import NodeSchedule, segment_of, theta, theta_prime
 
 __all__ = ["StochasticSystem", "BlendedMap", "fd_jacobian_batch", "check_coercivity"]
+
+# Largest number of boundary points check_coercivity may enumerate.
+COERCIVITY_MAX_POINTS = 10 ** 5
 
 # Residual evaluators are batched over samples for speed:
 #   residual(x, xis) -> (q, n) stacking f(x, xi_i) row-wise
@@ -85,9 +89,9 @@ class StochasticSystem:
 class BlendedMap:
     """Binds a system to samples, a partition and a node schedule.
 
-    eval_counter counts single-sample residual evaluations made by blend /
-    sample_average / blend_deriv_t; jac_counter separately counts per-sample
-    Jacobian evaluations (not part of the efficiency metric).
+    eval_counter counts single-sample residual evaluations made by evaluate
+    and sample_average; jac_counter separately counts per-sample Jacobian
+    evaluations (not part of the efficiency metric).
     """
 
     system: StochasticSystem
@@ -122,15 +126,6 @@ class BlendedMap:
         self.eval_counter += q
         return vals
 
-    def _prefix_means(self, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-        """(f^{l-1}(x), f^l(x)) from a single pass over the first q_l samples."""
-        q_hi = self.partition.q[ell - 1]
-        q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
-        vals = self._residual_block(x, q_hi)
-        head = vals[:q_lo].sum(axis=0) / q_lo if q_lo > 0 else np.zeros(self.system.n)
-        mean_hi = vals.sum(axis=0) / q_hi
-        return head, mean_hi
-
     def sample_average(self, ell: int, x: np.ndarray) -> np.ndarray:
         """Cumulative group average f^l(x); f^0 is identically zero and free."""
         if not 0 <= ell <= self.L:
@@ -142,35 +137,37 @@ class BlendedMap:
 
     # -- blended map and derivatives --------------------------------------
 
-    def blend(self, x: np.ndarray, t: float) -> np.ndarray:
-        """d(x, t) on the segment containing t (one pass, q_l evaluations)."""
+    def evaluate(self, x: np.ndarray, t: float, jac: bool = True):
+        """(d, dd/dt, dd/dx) at (x, t) on the segment containing t.
+
+        One residual pass over the first q_l samples gives d and
+        dd/dt = theta_l'(t) (f^l - f^{l-1}), which is exactly zero at nodes;
+        with jac, one Jacobian pass over the same samples gives dd/dx (None
+        otherwise).
+        """
+        x = np.asarray(x, dtype=float)
         ell = segment_of(t, self.schedule)
         th = theta(ell, t, self.schedule)
-        f_lo, f_hi = self._prefix_means(x, ell)
-        return (1.0 - th) * f_lo + th * f_hi
-
-    def blend_deriv_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        """dd/dt = theta_l'(t) (f^l(x) - f^{l-1}(x)); exactly zero at nodes."""
-        ell = segment_of(t, self.schedule)
         thp = theta_prime(ell, t, self.schedule)
-        if thp == 0.0:
-            return np.zeros(self.system.n)
-        f_lo, f_hi = self._prefix_means(x, ell)
-        return thp * (f_hi - f_lo)
-
-    def blend_jac_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        """dd/dx: the same blend applied to the per-sample Jacobian means."""
-        ell = segment_of(t, self.schedule)
-        th = theta(ell, t, self.schedule)
         q_hi = self.partition.q[ell - 1]
         q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
-        jacs = np.asarray(self.system.jacobian(np.asarray(x, dtype=float),
-                                               self.samples.samples[:q_hi]))
+        # reduced to its two means before the Jacobian block is allocated
+        f_lo, f_hi = _head_and_mean(self._residual_block(x, q_hi), q_lo)
+        d = (1.0 - th) * f_lo + th * f_hi
+        dd_dt = np.zeros(self.system.n) if thp == 0.0 else thp * (f_hi - f_lo)
+        if not jac:
+            return d, dd_dt, None
+        jacs = np.asarray(self.system.jacobian(x, self.samples.samples[:q_hi]))
         self.jac_counter += q_hi
-        n = self.system.n
-        j_lo = jacs[:q_lo].sum(axis=0) / q_lo if q_lo > 0 else np.zeros((n, n))
-        j_hi = jacs.sum(axis=0) / q_hi
-        return (1.0 - th) * j_lo + th * j_hi
+        j_lo, j_hi = _head_and_mean(jacs, q_lo)
+        return d, dd_dt, (1.0 - th) * j_lo + th * j_hi
+
+
+def _head_and_mean(block: np.ndarray, q_lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean of the first q_lo rows, mean of all rows); an empty head is 0."""
+    head = (block[:q_lo].sum(axis=0) / q_lo if q_lo > 0
+            else np.zeros(block.shape[1:]))
+    return head, block.sum(axis=0) / block.shape[0]
 
 
 def check_coercivity(bm: BlendedMap, grid_density: int = 8,
@@ -180,11 +177,21 @@ def check_coercivity(bm: BlendedMap, grid_density: int = 8,
     Evaluates (x - x0)^T f(x, xi) over a deterministic grid on the faces of
     the domain box and an evenly spaced subsample of the xi's.  A nonpositive
     minimum is a warning (the condition failed on the tested set), never an
-    error.
+    error.  The 2n g^(n-1) face points are counted before any is built: g is
+    lowered from grid_density to the largest value >= 2 within
+    COERCIVITY_MAX_POINTS, and a ValueError is raised if even g = 2 exceeds
+    it.  The report gives the g used.
     """
     sys_ = bm.system
     n = sys_.n
     lo, hi, x0 = sys_.box_lo, sys_.box_hi, sys_.x0
+    while grid_density > 2 and 2 * n * grid_density ** (n - 1) > COERCIVITY_MAX_POINTS:
+        grid_density -= 1
+    points = 2 * n * grid_density ** (n - 1)
+    if points > COERCIVITY_MAX_POINTS:
+        raise ValueError(
+            f"coercivity grid needs {points} boundary points at density "
+            f"{grid_density} for n={n}, above the budget of {COERCIVITY_MAX_POINTS}")
     axes = [np.linspace(lo[j], hi[j], grid_density) for j in range(n)]
     pts = []
     for face in range(n):
@@ -210,5 +217,6 @@ def check_coercivity(bm: BlendedMap, grid_density: int = 8,
         "argmin": arg,
         "warning": best <= 0.0,
         "boundary_points": len(boundary),
+        "grid_density": grid_density,
         "samples_tested": xis.shape[0],
     }

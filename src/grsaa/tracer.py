@@ -12,7 +12,7 @@ loses differentiability at t = 0 on the active set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,8 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
             tau: np.ndarray, cfg: TraceConfig):
     """Newton iteration on {h = 0, tau . (v - v_pred) = 0}.
 
-    Returns (u, t, iterations) on success or None on rejection (non-
+    Returns (u, t, iterations, residual, J) on success, J being the full
+    (u, t)-Jacobian at the accepted point, or None on rejection (non-
     convergence, a non-finite residual, or near-singular linear algebra).
     t is clamped to [0, 1] throughout; excursions beyond are overshoot.
     """
@@ -116,17 +117,13 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
     v = anchor.copy()
     for it in range(cfg.max_corrector_iters + 1):
         try:
-            r = hm.eval(v[:d], v[d])
+            r, J = hm.evaluate(v[:d], v[d])
         except FloatingPointError:
             return None
         res = float(np.linalg.norm(r, np.inf))
         if res <= cfg.corrector_tol:
-            return v[:d], float(v[d]), it, res
+            return v[:d], float(v[d]), it, res, J
         if it == cfg.max_corrector_iters:
-            return None
-        try:
-            J = hm.jac(v[:d], v[d])
-        except FloatingPointError:
             return None
         A = np.vstack([J, tau])
         if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _COND_LIMIT:
@@ -137,50 +134,55 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
     return None
 
 
-def _polish_plain(hm: HomotopyMap, x: np.ndarray, tol: float) -> np.ndarray:
-    """Terminal Newton on the full-sample SAA system f^L(x) = 0."""
-    bm = hm.blended
-    return damped_newton(
-        lambda z: hm.eval_plain(z, 0.0),
-        lambda z: bm.blend_jac_x(z, 0.0),
-        x, tol=tol)
-
-
-def _solve_at_t(hm: HomotopyMap, u: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """Fixed-t Newton solve of h(u, t) = 0 (endgame at the terminal level)."""
+def _solve_at_t(hm: HomotopyMap, u: np.ndarray, t: float,
+                tol: float) -> tuple[np.ndarray, float]:
+    """Fixed-t Newton solve of h(u, t) = 0 (the endgame); returns the root
+    and the sup norm of its residual, the last one Newton evaluated."""
     d = hm.dim
-    return damped_newton(
-        lambda z: hm.eval(z, t),
-        lambda z: hm.jac(z, t)[:, :d],
-        u, tol=tol)
+    last = None
+
+    def F(z):
+        nonlocal last
+        last = hm.evaluate(z, t, jac=False)[0]
+        return last
+
+    u_t = damped_newton(F, lambda z: hm.evaluate(z, t)[1][:, :d], u, tol=tol)
+    return u_t, float(np.linalg.norm(last, np.inf))
 
 
 def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     """Follow the homotopy path from its start at t = 1 to the terminal level."""
     cfg = cfg or TraceConfig()
     t_end = cfg.resolved_t_end(hm.kind)
+    # the plain map meets the full-sample SAA at t = 0 and is polished there
+    if hm.kind == "plain":
+        t_land, land_tol = 0.0, cfg.polish_tol
+    else:
+        t_land, land_tol = t_end, cfg.corrector_tol
     d = hm.dim
     n = hm.n
-    sys_ = hm.blended.system
+    bm = hm.blended
+    sys_ = bm.system
     # divergence guard: problem box widened to twice its width (state part only)
     half = (sys_.box_hi - sys_.box_lo) / 2.0
     guard_lo = sys_.box_lo - half
     guard_hi = sys_.box_hi + half
 
-    evals0 = hm.blended.eval_counter
+    evals0, jacs0 = bm.eval_counter, bm.jac_counter
     u = hm.start_point()
     t = 1.0
-    res0 = float(np.linalg.norm(hm.eval(u, t), np.inf))
+    r, J = hm.evaluate(u, t)
+    res0 = float(np.linalg.norm(r, np.inf))
     path = [PathPoint(u=u.copy(), t=t, step_len=0.0, corrector_iters=0,
-                      residual=res0, cum_sample_evals=hm.blended.eval_counter - evals0)]
+                      residual=res0, cum_sample_evals=bm.eval_counter - evals0)]
     counters = {"predictor_steps": 0, "rejected_steps": 0,
-                "corrector_iters_total": 0, "sample_evals": 0}
+                "corrector_iters_total": 0, "sample_evals": 0, "jac_evals": 0}
 
     def finish(status, u_fin, t_fin, final_res):
-        x_fin = u_fin[:n]
-        saa = float(np.linalg.norm(hm.blended.sample_average(hm.blended.L, x_fin),
-                                   np.inf))
-        counters["sample_evals"] = hm.blended.eval_counter - evals0
+        # counted before the full-sample diagnostic pass, which is not solver work
+        counters["sample_evals"] = bm.eval_counter - evals0
+        counters["jac_evals"] = bm.jac_counter - jacs0
+        saa = float(np.linalg.norm(bm.sample_average(bm.L, u_fin[:n]), np.inf))
         return TraceResult(status=status, u_star=u_fin, t_star=t_fin,
                            saa_residual=saa, final_residual=final_res,
                            path=path, counters=counters, n=n)
@@ -188,23 +190,18 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     def terminal(u_from):
         """Endgame at the terminal level; None if the solve does not land."""
         try:
-            if hm.kind == "plain":
-                u_t, t_fin = _polish_plain(hm, u_from[:n], cfg.polish_tol), 0.0
-                res = float(np.linalg.norm(hm.eval_plain(u_t, 0.0), np.inf))
-            else:
-                u_t, t_fin = _solve_at_t(hm, u_from, t_end, cfg.corrector_tol), t_end
-                res = float(np.linalg.norm(hm.eval(u_t, t_fin), np.inf))
-            path.append(PathPoint(u=u_t.copy(), t=t_fin, step_len=0.0,
-                                  corrector_iters=0, residual=res,
-                                  cum_sample_evals=hm.blended.eval_counter - evals0))
-            return finish("converged", u_t, t_fin, res)
+            u_t, res = _solve_at_t(hm, u_from, t_land, land_tol)
         except NewtonFailure:
             return None
+        path.append(PathPoint(u=u_t.copy(), t=t_land, step_len=0.0,
+                              corrector_iters=0, residual=res,
+                              cum_sample_evals=bm.eval_counter - evals0))
+        return finish("converged", u_t, t_land, res)
 
     h = cfg.h0
     prev_tau = None
     while counters["predictor_steps"] + counters["rejected_steps"] < cfg.max_steps:
-        tau = tangent(hm.jac(u, t), prev_tau)
+        tau = tangent(J, prev_tau)
         t_pred = t + h * tau[-1]
         if t_pred <= t_end and tau[-1] < 0:
             # step would cross the terminal level: try to land there directly
@@ -224,12 +221,12 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
                 return finish("stalled", u, t, res0)
             counters["rejected_steps"] += 1
             continue
-        u, t, iters, res0 = hit
+        u, t, iters, res0, J = hit
         counters["predictor_steps"] += 1
         counters["corrector_iters_total"] += iters
         path.append(PathPoint(u=u.copy(), t=t, step_len=h, corrector_iters=iters,
                               residual=res0,
-                              cum_sample_evals=hm.blended.eval_counter - evals0))
+                              cum_sample_evals=bm.eval_counter - evals0))
         prev_tau = tau
         if np.any(u[:n] < guard_lo) or np.any(u[:n] > guard_hi):
             return finish("diverged-out-of-box", u, t, res0)

@@ -24,6 +24,7 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path, capsys):
     assert summary["status"] == "converged"
     assert summary["saa_residual"] <= 1e-10
     assert summary["counters"]["sample_evals"] > 0
+    assert summary["counters"]["jac_evals"] > 0
     assert "converged" in capsys.readouterr().out
 
 
@@ -112,3 +113,16 @@ def test_diagnose_coercivity(tmp_path, capsys):
     assert "min_inner_product" in summary
     assert not summary["warning"]
     capsys.readouterr()
+
+
+def test_diagnose_coercivity_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
+    # n = 14 needs 28 * 2^13 face points even at density 2: refused before
+    # any grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("boundary grid was enumerated")
+
+    monkeypatch.setattr("numpy.meshgrid", no_grid)
+    code = run(["diagnose-coercivity", "--problem", "sin", "--n", "14",
+                "--N", "50", "--L", "2", "--out", str(tmp_path / "diag")])
+    assert code == EXIT_CONFIG
+    assert "budget" in capsys.readouterr().err

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from grsaa.homotopy import (HomotopyMap, solve_start_y, transform,
-                            transform_derivs)
+from grsaa.homotopy import HomotopyMap, solve_start_y, transform_derivs
 from grsaa.sampling import draw_samples, partition_uniform
 from grsaa.saa import BlendedMap
-from grsaa.schedule import make_schedule
+from grsaa.schedule import make_schedule, segment_of
 from grsaa import problems as P
 
 
@@ -30,27 +29,31 @@ def kkt_map(problem="svi", n=2, N=120, L=4, seed=0):
                        B=inst.B, b=inst.b, kappa0=inst.kappa0)
 
 
+def value(hm, u, t):
+    return hm.evaluate(u, t, jac=False)[0]
+
+
 # -- plain map ---------------------------------------------------------------
 
 def test_plain_start_is_exact_zero_without_sampling():
     hm = plain_map()
     x0 = hm.start_point()
     before = hm.blended.eval_counter
-    assert np.array_equal(hm.eval(x0, 1.0), np.zeros(3))
+    assert np.array_equal(value(hm, x0, 1.0), np.zeros(3))
     assert hm.blended.eval_counter == before  # t=1 short-circuits sampling
 
 
 def test_plain_t1_is_translation():
     hm = plain_map()
     x = np.array([0.4, -0.7, 1.2])
-    assert np.array_equal(hm.eval(x, 1.0), x - hm.x0)
+    assert np.array_equal(value(hm, x, 1.0), x - hm.x0)
 
 
 def test_plain_t0_is_full_saa_map():
     hm = plain_map()
     x = np.array([0.3, 0.1, -0.2])
     full = hm.blended.system.residual(x, hm.blended.samples.samples).mean(axis=0)
-    assert np.allclose(hm.eval(x, 0.0), full, rtol=0, atol=1e-15)
+    assert np.allclose(value(hm, x, 0.0), full, rtol=0, atol=1e-15)
 
 
 def test_alpha_never_changes_the_endpoints():
@@ -58,9 +61,9 @@ def test_alpha_never_changes_the_endpoints():
     bent = plain_map(alpha=np.array([2.0, -1.0, 0.5]))
     x = np.array([0.6, -0.2, 0.9])
     for t in (0.0, 1.0):
-        assert np.array_equal(base.eval(x, t), bent.eval(x, t))
+        assert np.array_equal(value(base, x, t), value(bent, x, t))
     # but it does perturb the interior of the path
-    assert not np.allclose(base.eval(x, 0.5), bent.eval(x, 0.5))
+    assert not np.allclose(value(base, x, 0.5), value(bent, x, 0.5))
 
 
 def test_plain_hand_value_single_sample():
@@ -72,7 +75,20 @@ def test_plain_hand_value_single_sample():
     th = np.sin((1.0 - t) * np.pi / 2.0) ** 2
     f = 0.7 - 5.0 * np.sin(0.7 + xi)
     expect = (1.0 - t) * th * f + t * 0.7
-    assert hm.eval(x, t)[0] == pytest.approx(expect, rel=1e-14)
+    assert value(hm, x, t)[0] == pytest.approx(expect, rel=1e-14)
+
+
+def test_evaluate_is_one_pass_per_point():
+    for hm in (plain_map(), kkt_map("svi", 2)):
+        bm = hm.blended
+        u = hm.start_point() + 0.1
+        t = 0.6
+        q = bm.partition.q[segment_of(t, bm.schedule) - 1]
+        evals, jacs = bm.eval_counter, bm.jac_counter
+        hm.evaluate(u, t)
+        assert (bm.eval_counter - evals, bm.jac_counter - jacs) == (q, q)
+        hm.evaluate(u, t, jac=False)
+        assert (bm.eval_counter - evals, bm.jac_counter - jacs) == (2 * q, q)
 
 
 def test_jac_plain_matches_finite_differences():
@@ -85,48 +101,53 @@ def test_jac_plain_matches_finite_differences():
         t = rng.uniform(0.02, 0.98)
         if np.min(np.abs(nodes - t)) < 1e-3:
             continue
-        J = hm.jac(x, t)
+        J = hm.evaluate(x, t)[1]
         assert J.shape == (3, 4)
         h = 1e-6
         for j in range(3):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = (hm.eval(xp, t) - hm.eval(xm, t)) / (2 * h)
+            fd = (value(hm, xp, t) - value(hm, xm, t)) / (2 * h)
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-7)
-        fd_t = (hm.eval(x, t + h) - hm.eval(x, t - h)) / (2 * h)
+        fd_t = (value(hm, x, t + h) - value(hm, x, t - h)) / (2 * h)
         assert np.allclose(J[:, 3], fd_t, rtol=1e-5, atol=1e-6)
         checked += 1
 
 
 # -- complementarity transform ----------------------------------------------
 
+def neg_pos(y, t, kappa0):
+    tr = transform_derivs(y, t, kappa0)
+    return tr["neg"], tr["pos"]
+
+
 def test_transform_product_identity():
     y = np.array([-3.0, -0.5, 0.0, 0.5, 3.0, 1e8, -1e8])
     for t in (1e-8, 1e-3, 0.5, 1.0):
         for kappa0 in (2, 3):
-            neg, pos = transform(y, t, kappa0)
+            neg, pos = neg_pos(y, t, kappa0)
             assert np.allclose(neg * pos, t ** kappa0, rtol=1e-12, atol=0)
 
 
 def test_transform_limit_at_t0():
     y = np.array([-2.0, -0.1, 0.0, 0.1, 2.0])
-    neg, pos = transform(y, 0.0, 2)
+    neg, pos = neg_pos(y, 0.0, 2)
     assert np.array_equal(neg, np.maximum(-y, 0.0) ** 2)
     assert np.array_equal(pos, np.maximum(y, 0.0) ** 2)
 
 
 def test_transform_rejects_bad_args():
     with pytest.raises(ValueError):
-        transform(np.zeros(1), -0.1, 2)
+        neg_pos(np.zeros(1), -0.1, 2)
     with pytest.raises(ValueError):
-        transform(np.zeros(1), 0.5, 1)
+        neg_pos(np.zeros(1), 0.5, 1)
 
 
 def test_transform_no_cancellation_for_large_y():
     # (sqrt(y^2 + 4t) - y)/2 evaluated naively at y = 1e12 is pure roundoff;
     # the factored form keeps full relative accuracy: a_neg ~ t / y
-    (neg,), (pos,) = transform(np.array([1e12]), 1.0, 2)
+    (neg,), (pos,) = neg_pos(np.array([1e12]), 1.0, 2)
     assert neg == pytest.approx(1e-24, rel=1e-12)
     assert pos == pytest.approx(1e24, rel=1e-12)
 
@@ -138,15 +159,15 @@ def test_transform_derivs_match_finite_differences():
         for t in (1e-4, 0.2, 0.9):
             tr = transform_derivs(y, t, kappa0)
             h = 1e-7
-            neg_p, pos_p = transform(y + h, t, kappa0)
-            neg_m, pos_m = transform(y - h, t, kappa0)
+            neg_p, pos_p = neg_pos(y + h, t, kappa0)
+            neg_m, pos_m = neg_pos(y - h, t, kappa0)
             assert np.allclose(tr["dneg_dy"], (neg_p - neg_m) / (2 * h),
                                rtol=1e-5, atol=1e-8)
             assert np.allclose(tr["dpos_dy"], (pos_p - pos_m) / (2 * h),
                                rtol=1e-5, atol=1e-8)
             ht = min(1e-7, t / 2)
-            neg_p, pos_p = transform(y, t + ht, kappa0)
-            neg_m, pos_m = transform(y, t - ht, kappa0)
+            neg_p, pos_p = neg_pos(y, t + ht, kappa0)
+            neg_m, pos_m = neg_pos(y, t - ht, kappa0)
             assert np.allclose(tr["dneg_dt"], (neg_p - neg_m) / (2 * ht),
                                rtol=1e-4, atol=1e-6)
             assert np.allclose(tr["dpos_dt"], (pos_p - pos_m) / (2 * ht),
@@ -156,7 +177,7 @@ def test_transform_derivs_match_finite_differences():
 @given(y=st.floats(-50.0, 50.0), t=st.floats(1e-10, 1.0),
        kappa0=st.integers(2, 4))
 def test_transform_identity_property(y, t, kappa0):
-    neg, pos = transform(np.array([y]), t, kappa0)
+    neg, pos = neg_pos(np.array([y]), t, kappa0)
     assert neg[0] * pos[0] == pytest.approx(t ** kappa0, rel=1e-10)
 
 
@@ -171,10 +192,10 @@ def test_solve_start_y_matches_bisection_oracle():
         c = b - B @ x0
         for k in range(4):
             root = brentq(
-                lambda v: transform(np.array([v]), 1.0, kappa0)[1][0] - c[k],
+                lambda v: neg_pos(np.array([v]), 1.0, kappa0)[1][0] - c[k],
                 -100.0, 100.0, xtol=1e-14)
             assert y[k] == pytest.approx(root, abs=1e-12)
-        _, pos = transform(y, 1.0, kappa0)
+        _, pos = neg_pos(y, 1.0, kappa0)
         assert np.allclose(pos, c, rtol=1e-13)
 
 
@@ -190,7 +211,7 @@ def test_kkt_start_point_is_a_root_at_t1():
     for problem, n in (("svi", 2), ("market", 3)):
         hm = kkt_map(problem, n)
         u1 = hm.start_point()
-        r = hm.eval(u1, 1.0)
+        r = value(hm, u1, 1.0)
         assert np.linalg.norm(r, np.inf) <= 1e-12
         # block 1 vanishes identically at t = 1, not just numerically
         assert np.array_equal(r[:hm.n], np.zeros(hm.n))
@@ -220,7 +241,7 @@ def test_kkt_zero_carries_feasibility_and_complementarity():
     # pick y solving block 2 exactly, then check the advertised structure
     c = hm.b - hm.B @ x
     y = c ** (1.0 / hm.kappa0) - t / c ** (1.0 / hm.kappa0)
-    neg, pos = transform(y, t, hm.kappa0)
+    neg, pos = neg_pos(y, t, hm.kappa0)
     assert np.allclose(hm.B @ x + pos, hm.b, rtol=1e-13)
     assert np.all(pos >= 0) and np.all(neg >= 0)
     assert np.allclose(neg * pos, t ** hm.kappa0, rtol=1e-12)
@@ -236,7 +257,7 @@ def test_jac_kkt_structure_and_finite_differences():
         t = rng.uniform(0.02, 0.98)
         if np.min(np.abs(nodes - t)) < 1e-3:
             continue
-        J = hm.jac(u, t)
+        J = hm.evaluate(u, t)[1]
         assert J.shape == (6, 7)
         assert np.array_equal(J[2:, :2], hm.B)  # block 2 is linear in x
         h = 1e-6
@@ -244,8 +265,8 @@ def test_jac_kkt_structure_and_finite_differences():
             up, um = u.copy(), u.copy()
             up[j] += h
             um[j] -= h
-            fd = (hm.eval(up, t) - hm.eval(um, t)) / (2 * h)
+            fd = (value(hm, up, t) - value(hm, um, t)) / (2 * h)
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-6)
-        fd_t = (hm.eval(u, t + h) - hm.eval(u, t - h)) / (2 * h)
+        fd_t = (value(hm, u, t + h) - value(hm, u, t - h)) / (2 * h)
         assert np.allclose(J[:, 6], fd_t, rtol=1e-5, atol=1e-5)
         checked += 1

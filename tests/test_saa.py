@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
-from grsaa.saa import BlendedMap, StochasticSystem, check_coercivity
+from grsaa.saa import (COERCIVITY_MAX_POINTS, BlendedMap, StochasticSystem,
+                       check_coercivity)
 from grsaa.schedule import make_schedule
 from grsaa import problems as P
 
@@ -42,10 +43,10 @@ def test_group_averages_by_hand():
 def test_blend_endpoints():
     bm = sin_map()
     x = np.array([0.3, -0.1, 0.2])
-    assert np.array_equal(bm.blend(x, 1.0), np.zeros(3))
+    assert np.array_equal(bm.evaluate(x, 1.0, jac=False)[0], np.zeros(3))
     # at t = 0 the blend is the full-sample SAA map
     full = bm.system.residual(x, bm.samples.samples).mean(axis=0)
-    assert np.allclose(bm.blend(x, 0.0), full, rtol=0, atol=1e-15)
+    assert np.allclose(bm.evaluate(x, 0.0, jac=False)[0], full, rtol=0, atol=1e-15)
 
 
 def test_blend_hits_group_average_at_nodes():
@@ -53,7 +54,7 @@ def test_blend_hits_group_average_at_nodes():
     x = np.array([0.5, 0.1, -0.3])
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
-        d = bm.blend(x, t_node)
+        d = bm.evaluate(x, t_node, jac=False)[0]
         assert np.array_equal(d, bm.sample_average(ell, x))
 
 
@@ -64,7 +65,7 @@ def test_blend_values_agree_across_adjacent_segments():
     from grsaa.schedule import theta
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
-        lower = bm.blend(x, t_node)  # segment ell, theta = 1
+        lower = bm.evaluate(x, t_node, jac=False)[0]  # segment ell, theta = 1
         th = theta(ell + 1, t_node, bm.schedule)  # upper segment, theta = 0
         upper = (1.0 - th) * bm.sample_average(ell, x) \
             + th * bm.sample_average(ell + 1, x)
@@ -77,7 +78,7 @@ def test_eval_counter_counts_active_group():
     for t, expect in ((0.9, bm.partition.q[0]), (0.6, bm.partition.q[1]),
                       (0.0, bm.partition.q[3])):
         before = bm.eval_counter
-        bm.blend(x, t)
+        bm.evaluate(x, t, jac=False)
         assert bm.eval_counter - before == expect
 
 
@@ -91,14 +92,14 @@ def test_c1_join_derivative_vanishes_at_nodes():
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
         for t in (t_node - eps, t_node + eps):
-            assert np.linalg.norm(bm.blend_deriv_t(x, t), np.inf) <= 1e-6
+            assert np.linalg.norm(bm.evaluate(x, t, jac=False)[1], np.inf) <= 1e-6
 
 
 def test_deriv_t_exactly_zero_at_nodes():
     bm = sin_map()
     x = np.array([0.7, -0.5, 0.2])
     for ell in range(1, bm.L):
-        assert np.array_equal(bm.blend_deriv_t(x, bm.schedule.nodes[ell]),
+        assert np.array_equal(bm.evaluate(x, bm.schedule.nodes[ell], jac=False)[1],
                               np.zeros(3))
 
 
@@ -108,13 +109,14 @@ def test_blend_jac_x_matches_finite_differences():
     for _ in range(100):
         x = rng.uniform(-1, 1, 3)
         t = rng.uniform(0, 1)
-        J = bm.blend_jac_x(x, t)
+        J = bm.evaluate(x, t)[2]
         for j in range(3):
             h = 1e-6
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = (bm.blend(xp, t) - bm.blend(xm, t)) / (2 * h)
+            fd = (bm.evaluate(xp, t, jac=False)[0]
+                  - bm.evaluate(xm, t, jac=False)[0]) / (2 * h)
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-7)
 
 
@@ -128,9 +130,10 @@ def test_blend_deriv_t_matches_finite_differences():
         t = rng.uniform(0.01, 0.99)
         if np.min(np.abs(nodes - t)) < 1e-3:
             continue
-        ana = bm.blend_deriv_t(x, t)
+        ana = bm.evaluate(x, t, jac=False)[1]
         h = 1e-7
-        fd = (bm.blend(x, t + h) - bm.blend(x, t - h)) / (2 * h)
+        fd = (bm.evaluate(x, t + h, jac=False)[0]
+              - bm.evaluate(x, t - h, jac=False)[0]) / (2 * h)
         assert np.allclose(ana, fd, rtol=1e-5, atol=1e-6)
         checked += 1
 
@@ -175,7 +178,7 @@ def test_nonfinite_residual_reports_sample_index():
                     partition=Partition((6,)),
                     schedule=make_schedule("uniform", 1))
     with pytest.raises(FloatingPointError, match="sample index 3"):
-        bm.blend(np.zeros(1), 0.5)
+        bm.evaluate(np.zeros(1), 0.5, jac=False)
 
 
 def test_fd_jacobian_fallback_is_flagged():
@@ -212,3 +215,17 @@ def test_coercivity_sin_system_boundary():
     report = check_coercivity(bm, grid_density=5)
     assert report["min_inner_product"] > 0.0
     assert not report["warning"]
+
+
+def test_coercivity_grid_density_kept_in_low_dimension():
+    report = check_coercivity(sin_map(N=50, L=2))
+    assert report["grid_density"] == 8
+    assert report["boundary_points"] == 8 ** 3 - 6 ** 3
+
+
+def test_coercivity_grid_lowered_to_budget():
+    # the default density 8 would give 16 * 8^7 = 33.5M face points at n = 8
+    report = check_coercivity(sin_map(n=8, N=50, L=2))
+    assert report["grid_density"] == 3  # 16 * 3^7 fits, 16 * 4^7 does not
+    assert report["boundary_points"] == 3 ** 8 - 1
+    assert report["boundary_points"] <= COERCIVITY_MAX_POINTS

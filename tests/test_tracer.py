@@ -74,7 +74,7 @@ def test_corrector_lands_on_known_root():
     out = correct(hm, np.array([linear_root(t) + 0.05]), t, tau,
                   TraceConfig(corrector_tol=1e-13))
     assert out is not None
-    u, t_out, iters, res = out
+    u, t_out, iters, res, _ = out
     assert t_out == t
     assert u[0] == pytest.approx(linear_root(t), abs=1e-10)
     assert res <= 1e-13 and iters >= 1
@@ -129,8 +129,8 @@ def test_counters_are_consistent():
     c = result.counters
     # path = start + one point per accepted step + the terminal point
     assert c["predictor_steps"] == len(result.path) - 2
-    # the terminal diagnostic adds exactly one full-sample pass
-    assert c["sample_evals"] == result.path[-1].cum_sample_evals + 400
+    # the terminal diagnostic pass is not counted as solver work
+    assert c["sample_evals"] == result.path[-1].cum_sample_evals
     assert c["corrector_iters_total"] >= c["predictor_steps"]
     assert c["sample_evals"] > 0
 
