@@ -43,7 +43,6 @@ class RunConfig:
     tau0: float = 7000.0
     sched_seed: int = 1
     seed: int = 1
-    kappa0: int = 2
     alpha: str = ""  # comma-separated floats; empty means zero
     h0: float = 1e-2
     h_min: float = 1e-10
@@ -53,8 +52,6 @@ class RunConfig:
     grow: float = 1.5
     shrink: float = 0.5
     max_steps: int = 10 ** 6
-    t_end: float = -1.0  # negative means the kind-specific default
-    polish_tol: float = 1e-12
     reps: int = 1
     L_values: str = ""  # comma-separated, sweep-l only
     out: str = "out"
@@ -80,13 +77,7 @@ class RunConfig:
 
 
 def _tracer_config(cfg: RunConfig) -> TraceConfig:
-    return TraceConfig(
-        h0=cfg.h0, h_min=cfg.h_min, h_max=cfg.h_max,
-        corrector_tol=cfg.corrector_tol,
-        max_corrector_iters=cfg.max_corrector_iters,
-        grow=cfg.grow, shrink=cfg.shrink, max_steps=cfg.max_steps,
-        t_end=None if cfg.t_end < 0 else cfg.t_end,
-        polish_tol=cfg.polish_tol)
+    return TraceConfig(**{f.name: getattr(cfg, f.name) for f in fields(TraceConfig)})
 
 
 def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
@@ -235,17 +226,10 @@ def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """--config plus one flag per RunConfig field, typed by its default."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    for name in ("problem", "partition", "schedule", "alpha", "L-values"):
-        p.add_argument(f"--{name}")
-    for name in ("n", "N", "L", "tau1", "sched-seed", "kappa0", "reps",
-                 "max-corrector-iters", "max-steps"):
-        p.add_argument(f"--{name}", type=int)
-    for name in ("tau0", "h0", "h-min", "h-max", "corrector-tol", "grow",
-                 "shrink", "t-end", "polish-tol"):
-        p.add_argument(f"--{name}", type=float)
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:

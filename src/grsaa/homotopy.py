@@ -1,8 +1,9 @@
-"""Traced homotopy maps.
+"""The traced homotopy map.  Its form follows from the problem's
+constraints B x <= b (M rows):
 
-plain         h(x, t) = (1-t) d(x, t) + t (x - x0) - t(1-t) alpha
-smoothed_kkt  block 1: (1-t) (d(x, t) - B^T neg(y, t)) - t (x - x0)
-              block 2: B x + pos(y, t) - b
+M = 0   h(x, t) = (1-t) d(x, t) + t (x - x0) - t(1-t) alpha
+M > 0   block 1: (1-t) (d(x, t) - B^T neg(y, t)) - t (x - x0)
+        block 2: B x + pos(y, t) - b
 
 The smoothed complementarity pair
 
@@ -13,7 +14,9 @@ satisfies neg * pos = t^kappa0 componentwise, so a zero of the augmented
 system carries the smoothed complementarity condition for t > 0 and exact
 complementarity in the limit t = 0.  One kernel serves both constrained
 benchmarks; problems that state their multipliers with the opposite sign use
-the orientation y -> -y (which swaps neg and pos).
+the orientation y -> -y (which swaps neg and pos).  The transform is not
+differentiable at t = 0 on the active set, so with constraints the trace
+ends at a small positive level (HomotopyMap.t_end).
 """
 
 from __future__ import annotations
@@ -94,9 +97,12 @@ def solve_start_y(B: np.ndarray, b: np.ndarray, x0: np.ndarray,
 
 @dataclass
 class HomotopyMap:
-    """The map traced by the predictor-corrector: values and full Jacobian."""
+    """The map traced by the predictor-corrector: values and full Jacobian.
 
-    kind: str  # "plain" | "smoothed_kkt"
+    Without constraint data (B and b None) M = 0; with it the unknowns are
+    (x, y), y holding one transform variable per constraint row.
+    """
+
     blended: BlendedMap
     alpha: np.ndarray | None = None
     B: np.ndarray | None = None
@@ -108,20 +114,15 @@ class HomotopyMap:
         if self.alpha is None:
             self.alpha = np.zeros(n)
         self.alpha = np.asarray(self.alpha, dtype=float)
-        if self.kind == "plain":
-            self._M = 0
-        elif self.kind == "smoothed_kkt":
-            if self.B is None or self.b is None:
-                raise ValueError("smoothed_kkt requires constraint data B, b")
+        if (self.B is None) != (self.b is None):
+            raise ValueError("constraint data needs both B and b")
+        if self.B is not None:
             self.B = np.asarray(self.B, dtype=float)
             self.b = np.asarray(self.b, dtype=float)
             if self.kappa0 < 2:
                 raise ValueError("kappa0 must be at least 2")
-            self._M = self.B.shape[0]
-            if self.B.shape[1] != n or self.b.shape != (self._M,):
+            if self.B.shape[1] != n or self.b.shape != (self.M,):
                 raise ValueError("constraint dimensions do not match the system")
-        else:
-            raise ValueError(f"unknown homotopy kind: {self.kind!r}")
 
     @property
     def n(self) -> int:
@@ -129,20 +130,26 @@ class HomotopyMap:
 
     @property
     def M(self) -> int:
-        return self._M
+        return 0 if self.B is None else self.B.shape[0]
 
     @property
     def dim(self) -> int:
-        """Total unknown dimension (n for plain, n + M for smoothed_kkt)."""
-        return self.n + self._M
+        """Total unknown dimension n + M."""
+        return self.n + self.M
 
     @property
     def x0(self) -> np.ndarray:
         return self.blended.system.x0
 
+    @property
+    def t_end(self) -> float:
+        """Terminal level: 0, where the plain map is the full-sample SAA, or
+        1e-8 with constraints, where the transform is still differentiable."""
+        return 0.0 if self.M == 0 else 1e-8
+
     def start_point(self) -> np.ndarray:
         """The unique solution at t = 1."""
-        if self.kind == "plain":
+        if self.M == 0:
             return self.x0.copy()
         y1 = solve_start_y(self.B, self.b, self.x0, self.kappa0, t=1.0)
         return np.concatenate([self.x0, y1])
@@ -155,9 +162,9 @@ class HomotopyMap:
         the translation x - x0 and needs no sampling unless J is requested.
         """
         u = np.asarray(u, dtype=float)
-        n, M = self.n, self._M
+        n, M = self.n, self.M
         x, y = u[:n], u[n:]
-        if self.kind == "plain":
+        if M == 0:
             if t == 1.0 and not jac:
                 return x - self.x0, None
             d, dd_dt, dd_dx = self.blended.evaluate(x, t, jac)

@@ -46,15 +46,6 @@ class ProblemInstance:
     distribution: UniformBox
     B: np.ndarray | None = None
     b: np.ndarray | None = None
-    kappa0: int = 2
-
-    @property
-    def constrained(self) -> bool:
-        return self.B is not None
-
-    @property
-    def default_N(self) -> int:
-        return 10 ** 4
 
 
 def build_homotopy(inst: ProblemInstance, samples: SampleSet,
@@ -62,10 +53,7 @@ def build_homotopy(inst: ProblemInstance, samples: SampleSet,
                    alpha: np.ndarray | None = None) -> HomotopyMap:
     bm = BlendedMap(system=inst.system, samples=samples,
                     partition=partition, schedule=schedule)
-    if inst.constrained:
-        return HomotopyMap(kind="smoothed_kkt", blended=bm, alpha=alpha,
-                           B=inst.B, b=inst.b, kappa0=inst.kappa0)
-    return HomotopyMap(kind="plain", blended=bm, alpha=alpha)
+    return HomotopyMap(blended=bm, alpha=alpha, B=inst.B, b=inst.b)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +125,14 @@ def market_jacobian(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
 
 def market_instance() -> ProblemInstance:
     system = StochasticSystem(
-        n=3, m=1,
-        residual=lambda p, xis: market_residual(p, xis),
-        jacobian=lambda p, xis: market_jacobian(p, xis),
+        n=3, m=1, residual=market_residual, jacobian=market_jacobian,
         box_lo=np.full(3, 1e-3), box_hi=np.ones(3),
         # strictly interior in {p > 0, Ap < 0, e.p < 1}; the equal-price point
         # violates the first zero-profit row and is not admissible
-        x0=np.array([0.40, 0.30, 0.10]),
-        name="market")
+        x0=np.array([0.40, 0.30, 0.10]))
     return ProblemInstance(name="market", system=system,
                            distribution=UniformBox.scalar(-1.0, 1.0),
-                           B=MARKET_B, b=MARKET_b, kappa0=2)
+                           B=MARKET_B, b=MARKET_b)
 
 
 def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
@@ -215,7 +200,7 @@ def sin_instance(n: int) -> ProblemInstance:
     system = StochasticSystem(
         n=n, m=1, residual=sin_residual, jacobian=sin_jacobian,
         box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
-        x0=np.zeros(n), name=f"sin_system(n={n})")
+        x0=np.zeros(n))
     return ProblemInstance(name="sin", system=system,
                            distribution=UniformBox.scalar(-1.0, 1.0))
 
@@ -280,12 +265,12 @@ def svi_instance(n: int) -> ProblemInstance:
     system = StochasticSystem(
         n=n, m=1, residual=svi_residual, jacobian=svi_jacobian,
         box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
-        x0=np.zeros(n), name=f"svi(n={n})")
+        x0=np.zeros(n))
     B = np.vstack([np.eye(n), -np.eye(n)])
     b = np.full(2 * n, 10.0)
     return ProblemInstance(name="svi", system=system,
                            distribution=UniformBox.scalar(-1.0, 1.0),
-                           B=B, b=b, kappa0=2)
+                           B=B, b=b)
 
 
 # ---------------------------------------------------------------------------

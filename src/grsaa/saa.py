@@ -21,7 +21,7 @@ import numpy as np
 from .sampling import Partition, SampleSet
 from .schedule import NodeSchedule, segment_of, theta, theta_prime
 
-__all__ = ["StochasticSystem", "BlendedMap", "fd_jacobian_batch", "check_coercivity"]
+__all__ = ["StochasticSystem", "BlendedMap", "check_coercivity"]
 
 # Largest number of boundary points check_coercivity may enumerate.
 COERCIVITY_MAX_POINTS = 10 ** 5
@@ -33,28 +33,6 @@ ResidualFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 JacobianFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def fd_jacobian_batch(residual: ResidualFn, rel_step: float = 1e-7) -> JacobianFn:
-    """Central finite-difference fallback for the per-sample x-Jacobian.
-
-    Provided for problems without analytic derivatives; results produced with
-    it are flagged by the owning system (fd_jacobian=True).
-    """
-
-    def jac(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = x.size
-        q = xis.shape[0]
-        out = np.empty((q, n, n))
-        for j in range(n):
-            h = rel_step * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            out[:, :, j] = (residual(xp, xis) - residual(xm, xis)) / (2.0 * h)
-        return out
-
-    return jac
-
-
 @dataclass(frozen=True)
 class StochasticSystem:
     """A stochastic residual f(x, xi) with its x-Jacobian and domain box."""
@@ -62,12 +40,10 @@ class StochasticSystem:
     n: int
     m: int
     residual: ResidualFn
-    jacobian: JacobianFn | None
+    jacobian: JacobianFn
     box_lo: np.ndarray
     box_hi: np.ndarray
     x0: np.ndarray
-    name: str = ""
-    fd_jacobian: bool = False
 
     def __post_init__(self):
         lo = np.asarray(self.box_lo, dtype=float)
@@ -80,9 +56,6 @@ class StochasticSystem:
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
         object.__setattr__(self, "x0", x0)
-        if self.jacobian is None:
-            object.__setattr__(self, "jacobian", fd_jacobian_batch(self.residual))
-            object.__setattr__(self, "fd_jacobian", True)
 
 
 @dataclass

@@ -8,7 +8,7 @@ platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +48,9 @@ class UniformBox:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An ordered batch of i.i.d. draws together with its provenance."""
+    """An ordered batch of i.i.d. draws."""
 
     samples: np.ndarray  # shape (N, m)
-    seed: int | None
-    distribution: UniformBox | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -67,15 +65,6 @@ class SampleSet:
     @property
     def m(self) -> int:
         return self.samples.shape[1]
-
-    def to_csv(self, path) -> None:
-        """One row per sample, 17 significant digits (exact float64 round trip)."""
-        np.savetxt(path, self.samples, fmt="%.17g", delimiter=",")
-
-    @staticmethod
-    def from_csv(path) -> "SampleSet":
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return SampleSet(samples=data, seed=None, distribution=None)
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ def draw_samples(distribution: UniformBox, N: int, seed: int) -> SampleSet:
     hi = np.asarray(distribution.hi, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((N, distribution.m))
-    return SampleSet(samples=lo + (hi - lo) * u, seed=int(seed), distribution=distribution)
+    return SampleSet(samples=lo + (hi - lo) * u)
 
 
 def partition_uniform(N: int, L: int) -> Partition:

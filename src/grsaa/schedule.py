@@ -29,7 +29,6 @@ _MIN_GAP = 1e-9
 @dataclass(frozen=True)
 class NodeSchedule:
     nodes: tuple[float, ...]  # (t_0, ..., t_L), strictly decreasing, t_0=1, t_L=0
-    kind: str = "uniform"
 
     def __post_init__(self):
         nodes = tuple(float(v) for v in self.nodes)
@@ -46,12 +45,6 @@ class NodeSchedule:
     @property
     def L(self) -> int:
         return len(self.nodes) - 1
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("index,node\n")
-            for i, t in enumerate(self.nodes):
-                fh.write(f"{i},{t:.17g}\n")
 
 
 def make_schedule(kind: str, L: int, seed: int | None = None,
@@ -86,7 +79,7 @@ def make_schedule(kind: str, L: int, seed: int | None = None,
         nodes = [1.0] + [1.0 / (1.0 + tau0 * ell) for ell in range(1, L)] + [0.0]
     else:
         raise ValueError(f"unknown schedule kind: {kind!r}")
-    return NodeSchedule(nodes=tuple(nodes), kind=kind)
+    return NodeSchedule(nodes=tuple(nodes))
 
 
 def segment_of(t: float, sched: NodeSchedule) -> int:

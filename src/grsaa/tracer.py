@@ -3,11 +3,12 @@ homotopy map, from the known solution at t = 1 down to t = 0.
 
 The kernel is the classic one: unit tangent from the full (u, t)-Jacobian,
 first-order Euler predictor, Newton corrector on the system augmented with
-the tangent hyperplane, multiplicative step-length adaptation.  Terminal
-handling depends on the map kind: the plain homotopy coincides with the
-full-sample SAA at t = 0 and is polished there by Newton; the smoothed-KKT
-map stops at a small positive t_end because the complementarity transform
-loses differentiability at t = 0 on the active set.
+the tangent hyperplane, multiplicative step-length adaptation.  The trace
+lands by a fixed-t Newton solve at the map's terminal level: without
+constraints at t = 0, where the map coincides with the full-sample SAA and
+is polished to _POLISH_TOL; with constraints at a small positive t_end,
+because the complementarity transform loses differentiability at t = 0 on
+the active set.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = ["TraceConfig", "PathPoint", "TraceResult", "SingularJacobianError",
            "tangent", "correct", "trace", "path_to_csv"]
 
 _COND_LIMIT = 1e12
+_POLISH_TOL = 1e-12
 
 
 class SingularJacobianError(RuntimeError):
@@ -39,19 +41,12 @@ class TraceConfig:
     grow: float = 1.5
     shrink: float = 0.5
     max_steps: int = 10 ** 6
-    t_end: float | None = None  # default by kind: 0 (plain), 1e-8 (smoothed_kkt)
-    polish_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.h_min <= self.h0 <= self.h_max):
             raise ValueError("need 0 < h_min <= h0 <= h_max")
         if not (0 < self.shrink < 1 < self.grow):
             raise ValueError("need 0 < shrink < 1 < grow")
-
-    def resolved_t_end(self, kind: str) -> float:
-        if self.t_end is not None:
-            return self.t_end
-        return 0.0 if kind == "plain" else 1e-8
 
 
 @dataclass
@@ -137,13 +132,18 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
 def _solve_at_t(hm: HomotopyMap, u: np.ndarray, t: float,
                 tol: float) -> tuple[np.ndarray, float]:
     """Fixed-t Newton solve of h(u, t) = 0 (the endgame); returns the root
-    and the sup norm of its residual, the last one Newton evaluated."""
+    and the sup norm of its residual, the last one Newton evaluated.  A
+    trial with a non-finite residual reads as NaN, so the line search halves
+    the step instead of aborting."""
     d = hm.dim
     last = None
 
     def F(z):
         nonlocal last
-        last = hm.evaluate(z, t, jac=False)[0]
+        try:
+            last = hm.evaluate(z, t, jac=False)[0]
+        except FloatingPointError:
+            return np.full(d, np.nan)
         return last
 
     u_t = damped_newton(F, lambda z: hm.evaluate(z, t)[1][:, :d], u, tol=tol)
@@ -153,12 +153,9 @@ def _solve_at_t(hm: HomotopyMap, u: np.ndarray, t: float,
 def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     """Follow the homotopy path from its start at t = 1 to the terminal level."""
     cfg = cfg or TraceConfig()
-    t_end = cfg.resolved_t_end(hm.kind)
+    t_end = hm.t_end
     # the plain map meets the full-sample SAA at t = 0 and is polished there
-    if hm.kind == "plain":
-        t_land, land_tol = 0.0, cfg.polish_tol
-    else:
-        t_land, land_tol = t_end, cfg.corrector_tol
+    land_tol = _POLISH_TOL if hm.M == 0 else cfg.corrector_tol
     d = hm.dim
     n = hm.n
     bm = hm.blended
@@ -190,13 +187,13 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     def terminal(u_from):
         """Endgame at the terminal level; None if the solve does not land."""
         try:
-            u_t, res = _solve_at_t(hm, u_from, t_land, land_tol)
+            u_t, res = _solve_at_t(hm, u_from, t_end, land_tol)
         except NewtonFailure:
             return None
-        path.append(PathPoint(u=u_t.copy(), t=t_land, step_len=0.0,
+        path.append(PathPoint(u=u_t.copy(), t=t_end, step_len=0.0,
                               corrector_iters=0, residual=res,
                               cum_sample_evals=bm.eval_counter - evals0))
-        return finish("converged", u_t, t_land, res)
+        return finish("converged", u_t, t_end, res)
 
     h = cfg.h0
     prev_tau = None

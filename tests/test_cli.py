@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from grsaa.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
+from grsaa.cli import EXIT_CONFIG, EXIT_OK, RunConfig, build_run, main
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def run(args):
@@ -47,6 +50,15 @@ def test_config_file_roundtrip_and_override(tmp_path):
     partial = RunConfig.from_kv(path.read_text())
     assert partial.problem == "sin" and partial.n == 4
     assert partial.N == RunConfig().N
+
+
+def test_experiment_configs_load_and_build():
+    paths = sorted(EXPERIMENTS.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        cfg = RunConfig.from_kv(path.read_text())
+        inst, hm = build_run(cfg)
+        assert inst.name == cfg.problem, path.name
 
 
 def test_invalid_config_key_is_exit_3(tmp_path, capsys):

@@ -16,7 +16,7 @@ def plain_map(n=3, N=120, L=4, seed=0, alpha=None):
     bm = BlendedMap(system=inst.system, samples=samples,
                     partition=partition_uniform(N, L),
                     schedule=make_schedule("uniform", L))
-    return HomotopyMap(kind="plain", blended=bm, alpha=alpha)
+    return HomotopyMap(blended=bm, alpha=alpha)
 
 
 def kkt_map(problem="svi", n=2, N=120, L=4, seed=0):
@@ -25,8 +25,7 @@ def kkt_map(problem="svi", n=2, N=120, L=4, seed=0):
     bm = BlendedMap(system=inst.system, samples=samples,
                     partition=partition_uniform(N, L),
                     schedule=make_schedule("uniform", L))
-    return HomotopyMap(kind="smoothed_kkt", blended=bm,
-                       B=inst.B, b=inst.b, kappa0=inst.kappa0)
+    return HomotopyMap(blended=bm, B=inst.B, b=inst.b)
 
 
 def value(hm, u, t):
@@ -224,12 +223,12 @@ def test_kkt_dimensions():
     assert (hm.n, hm.M, hm.dim) == (3, 6, 9)
 
 
-def test_kkt_requires_constraints():
+def test_form_follows_from_constraints():
     bm = plain_map().blended
     with pytest.raises(ValueError):
-        HomotopyMap(kind="smoothed_kkt", blended=bm)
-    with pytest.raises(ValueError):
-        HomotopyMap(kind="spiral", blended=bm)
+        HomotopyMap(blended=bm, B=np.eye(3))
+    hm = HomotopyMap(blended=bm)
+    assert hm.M == 0 and hm.t_end == 0.0
 
 
 def test_kkt_zero_carries_feasibility_and_complementarity():

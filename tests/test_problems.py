@@ -239,7 +239,7 @@ def test_oracle_solve_rejects_market():
 
 def test_get_instance_registry():
     assert P.get_instance("sin", 5).system.n == 5
-    assert P.get_instance("market").constrained
-    assert not P.get_instance("sin", 2).constrained
+    assert P.get_instance("market").B is not None
+    assert P.get_instance("sin", 2).B is None
     with pytest.raises(ValueError):
         P.get_instance("heat")

@@ -18,7 +18,7 @@ def identity_in_xi_system():
 
 
 def tiny_map():
-    samples = SampleSet(np.array([[0.2], [-0.4], [0.8]]), seed=None)
+    samples = SampleSet(np.array([[0.2], [-0.4], [0.8]]))
     return BlendedMap(system=identity_in_xi_system(), samples=samples,
                       partition=Partition((2, 3)),
                       schedule=make_schedule("uniform", 2))
@@ -173,22 +173,12 @@ def test_nonfinite_residual_reports_sample_index():
     sys_ = StochasticSystem(n=1, m=1, residual=bad, jacobian=None,
                             box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
                             x0=np.array([0.0]))
-    samples = SampleSet(np.zeros((6, 1)), seed=None)
+    samples = SampleSet(np.zeros((6, 1)))
     bm = BlendedMap(system=sys_, samples=samples,
                     partition=Partition((6,)),
                     schedule=make_schedule("uniform", 1))
     with pytest.raises(FloatingPointError, match="sample index 3"):
         bm.evaluate(np.zeros(1), 0.5, jac=False)
-
-
-def test_fd_jacobian_fallback_is_flagged():
-    sys_ = StochasticSystem(n=1, m=1, residual=lambda x, xis: x[None, :] + 0 * xis,
-                            jacobian=None,
-                            box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
-                            x0=np.array([0.0]))
-    assert sys_.fd_jacobian
-    J = sys_.jacobian(np.array([0.3]), np.zeros((5, 1)))
-    assert np.allclose(J, 1.0, atol=1e-6)
 
 
 def coercive_map(sign):
@@ -198,7 +188,7 @@ def coercive_map(sign):
         jacobian=lambda x, xis: sign * np.repeat(np.eye(2)[None], xis.shape[0], axis=0),
         box_lo=np.array([-1.0, -1.0]), box_hi=np.array([1.0, 1.0]),
         x0=np.zeros(2))
-    samples = SampleSet(np.zeros((4, 1)), seed=None)
+    samples = SampleSet(np.zeros((4, 1)))
     return BlendedMap(system=sys_, samples=samples, partition=Partition((4,)),
                       schedule=make_schedule("uniform", 1))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from grsaa.sampling import (Partition, SampleSet, UniformBox, draw_samples,
+from grsaa.sampling import (Partition, UniformBox, draw_samples,
                             partition_linear, partition_uniform)
 
 U11 = UniformBox.scalar(-1.0, 1.0)
@@ -46,14 +46,6 @@ def test_multivariate_box():
     s = draw_samples(box, 100, seed=3)
     assert s.samples.shape == (100, 2)
     assert np.all(s.samples[:, 0] <= 1.0) and np.all(s.samples[:, 1] >= -2.0)
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    s = draw_samples(UniformBox((0.0, -2.0), (1.0, 2.0)), 37, seed=11)
-    path = tmp_path / "samples.csv"
-    s.to_csv(path)
-    back = SampleSet.from_csv(path)
-    assert np.array_equal(back.samples, s.samples)
 
 
 def test_partition_uniform_even_split():

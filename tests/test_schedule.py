@@ -92,16 +92,6 @@ def test_outside_segment_rejected():
         theta_prime(1, 0.1, s)
 
 
-def test_csv_export(tmp_path):
-    s = make_schedule("uniform", 3)
-    path = tmp_path / "sched.csv"
-    s.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,node"
-    assert len(lines) == 5
-    assert [float(l.split(",")[1]) for l in lines[1:]] == list(s.nodes)
-
-
 @given(t=st.floats(0.0, 1.0), L=st.integers(1, 12))
 def test_segment_contains_t(t, L):
     s = make_schedule("uniform", L)

@@ -56,9 +56,9 @@ def linear_hm():
         residual=lambda x, xis: np.repeat(x[None, :] - 2.0, xis.shape[0], axis=0),
         jacobian=lambda x, xis: np.ones((xis.shape[0], 1, 1)),
         box_lo=np.array([-9.0]), box_hi=np.array([9.0]), x0=np.array([0.0]))
-    bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1)), seed=None),
+    bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
                     partition=Partition((1,)), schedule=make_schedule("uniform", 1))
-    return HomotopyMap(kind="plain", blended=bm)
+    return HomotopyMap(blended=bm)
 
 
 def linear_root(t):
@@ -160,6 +160,16 @@ def test_trace_svi_terminal_satisfies_kkt():
     x = result.x_star
     assert np.all(hm.B @ x <= hm.b + 1e-8)
     assert result.final_residual <= 1e-10
+
+
+def test_nonfinite_landing_trial_halves_the_step():
+    # a 110-long first step puts the landing Newton's first trial at negative
+    # prices, where the market residual is NaN: the line search backs off
+    hm = make_hm("market", 3, N=500, L=5)
+    result = trace(hm, TraceConfig(h0=110, h_max=110))
+    assert result.status == "converged"
+    assert result.counters["rejected_steps"] > 0
+    assert np.linalg.norm(result.x_star - P.MARKET_SOLUTION, np.inf) <= 0.01
 
 
 def test_max_steps_is_reported():
