@@ -1,16 +1,17 @@
 """Benchmark problems: a CES market equilibrium, the sin system, and a
 box-constrained stochastic variational inequality.
 
-Each problem supplies a batched residual f(x, xi) and analytic x-Jacobian,
-a domain box with an interior reference point, and (where one exists) an
-independent ground-truth oracle built on the analytic expectation of the
+Each problem supplies a batched residual f(x, xi), a fused kernel that
+returns the same residual rows with their analytic x-Jacobians from one
+pass, a domain box with an interior reference point, and (where one exists)
+an independent ground-truth oracle built on the analytic expectation of the
 residual.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ __all__ = [
     "svi_expectation", "svi_expectation_jac",
     "oracle_solve", "build_homotopy", "get_instance",
 ]
-
-log = logging.getLogger(__name__)
 
 # substitution parameters within this distance of 1 are clipped: the CES
 # exponent 1/(xi - 1) diverges there
@@ -82,13 +81,16 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
 
     The transformed prices p_i^(1/(xi-1)) overflow for xi near 1, so demand
     shares are assembled as exp(e*l_i - logsumexp_j(e*logW_ij + (1+e)*l_j))
-    with l = log p, which stays bounded for all xi in [-1, 1).
+    with l = log p, which stays bounded for all xi in [-1, 1).  The clip is
+    a RuntimeWarning with a fixed message, so Python's default filter shows
+    it once rather than on every kernel call.  softmax is returned in the
+    buffer of terms, which the caller may overwrite.
     """
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xis, dtype=float).reshape(-1)
-    n_clip = int(np.count_nonzero(xi > 1.0 - _XI_CLIP))
-    if n_clip:
-        log.warning("clipped %d CES substitution sample(s) near xi=1", n_clip)
+    if np.any(xi > 1.0 - _XI_CLIP):
+        warnings.warn("clipped CES substitution sample(s) to xi = 1 - 1e-6",
+                      RuntimeWarning)
         xi = np.minimum(xi, 1.0 - _XI_CLIP)
     with np.errstate(invalid="ignore", divide="ignore"):
         l = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
@@ -97,11 +99,12 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
     terms = e[:, None, None] * _LOG_W[None, :, :] \
         + (1.0 + e)[:, None, None] * l[None, None, :]
     tmax = terms.max(axis=2, keepdims=True)
-    expt = np.exp(terms - tmax)
+    terms -= tmax
+    expt = np.exp(terms, out=terms)
     sumexp = expt.sum(axis=2)
     lse = tmax[:, :, 0] + np.log(sumexp)  # (q, 3)
     share = np.exp(e[:, None] * l[None, :] - lse)  # (q, 3)
-    softmax = expt / sumexp[:, :, None]  # (q, 3, 3)
+    softmax = np.divide(expt, sumexp[:, :, None], out=expt)  # (q, 3, 3)
     return p, e, share, softmax
 
 
@@ -111,16 +114,20 @@ def market_residual(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return p.sum() * share
 
 
-def market_jacobian(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def market_jacobian(p: np.ndarray, xis: np.ndarray):
+    """(F, J): market_residual's rows and their p-Jacobians from one pass."""
     p, e, share, softmax = _market_parts(p, xis)
     S = p.sum()
-    q = share.shape[0]
-    eye = np.eye(3)
-    # d share_i / d p_j = share_i * (e d_ij - (1+e) softmax_ij) / p_j
-    dshare = share[:, :, None] * (
-        e[:, None, None] * eye[None, :, :]
-        - (1.0 + e)[:, None, None] * softmax) / p[None, None, :]
-    return share[:, :, None] + S * dshare
+    # d share_i / d p_j = share_i * (e d_ij - (1+e) softmax_ij) / p_j and
+    # J = share + S * dshare, built in one (q, 3, 3) buffer
+    J = e[:, None, None] * np.eye(3)
+    softmax *= (1.0 + e)[:, None, None]
+    J -= softmax
+    J *= share[:, :, None]
+    J /= p
+    J *= S
+    J += share[:, :, None]
+    return S * share, J
 
 
 def market_instance() -> ProblemInstance:
@@ -162,23 +169,39 @@ def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
 # sin system
 # ---------------------------------------------------------------------------
 
-def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
+def _phase(x: np.ndarray, xis: np.ndarray):
+    """(x, i, phase) with phase[k, i-1] = i * sum(x) + xi_k, shared by the
+    sin and svi kernels."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xis, dtype=float).reshape(-1)
     i_arr = np.arange(1, x.size + 1)
-    phase = i_arr[None, :] * x.sum() + xi[:, None]  # (q, n)
+    return x, i_arr, i_arr[None, :] * x.sum() + xi[:, None]  # (q, n)
+
+
+def _eye_plus_columns(coef: np.ndarray) -> np.ndarray:
+    """I + coef[k, :, None] 1^T per row k, built in one (q, n, n) buffer.
+
+    Repeating coef across the columns gives the bits of coef * 1 (x * 1.0
+    is x in IEEE arithmetic) without the broadcast buffers of a multiply.
+    """
+    n = coef.shape[1]
+    J = np.repeat(coef[:, :, None], n, axis=2)
+    J += np.eye(n)
+    return J
+
+
+def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
+    x, _, phase = _phase(x, xis)
     return x[None, :] - 5.0 * np.sin(phase)
 
 
-def sin_jacobian(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xis, dtype=float).reshape(-1)
-    n = x.size
-    i_arr = np.arange(1, n + 1)
-    phase = i_arr[None, :] * x.sum() + xi[:, None]
-    coef = -5.0 * i_arr[None, :] * np.cos(phase)  # (q, n)
-    return np.eye(n)[None, :, :] + coef[:, :, None] * np.ones((1, 1, n))
+def sin_jacobian(x: np.ndarray, xis: np.ndarray):
+    """(F, J): sin_residual's rows and their x-Jacobians from one pass."""
+    x, i_arr, phase = _phase(x, xis)
+    F = x[None, :] - 5.0 * np.sin(phase)
+    coef = -5.0 * i_arr[None, :] * np.cos(phase, out=phase)  # (q, n)
+    return F, _eye_plus_columns(coef)
 
 
 def sin_expectation(x: np.ndarray) -> np.ndarray:
@@ -211,21 +234,21 @@ def sin_instance(n: int) -> ProblemInstance:
 
 def svi_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi))."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xis, dtype=float).reshape(-1)
-    i_arr = np.arange(1, x.size + 1)
-    phase = i_arr[None, :] * x.sum() + xi[:, None]
+    x, _, phase = _phase(x, xis)
     return x[None, :] - np.exp(np.cos(phase))
 
 
-def svi_jacobian(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xis, dtype=float).reshape(-1)
-    n = x.size
-    i_arr = np.arange(1, n + 1)
-    phase = i_arr[None, :] * x.sum() + xi[:, None]
-    coef = np.exp(np.cos(phase)) * np.sin(phase) * i_arr[None, :]  # (q, n)
-    return np.eye(n)[None, :, :] + coef[:, :, None] * np.ones((1, 1, n))
+def svi_jacobian(x: np.ndarray, xis: np.ndarray):
+    """(F, J): svi_residual's rows and their x-Jacobians from one pass."""
+    x, i_arr, phase = _phase(x, xis)
+    ec = np.exp(np.cos(phase))
+    # coef = ec * sin(phase) * i in phase's buffer, then F in ec's, so that
+    # F and J together hold no more memory than J alone did
+    coef = np.sin(phase, out=phase)
+    coef *= ec
+    coef *= i_arr
+    J = _eye_plus_columns(coef)
+    return np.subtract(x[None, :], ec, out=ec), J
 
 
 def _exp_cos_mean(a: float) -> float:

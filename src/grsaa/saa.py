@@ -8,7 +8,9 @@ Because the first q_{l-1} samples are a prefix of the first q_l, one pass
 over q_l samples yields both averages, hence d and its t-derivative; an
 evaluation at (x, t) therefore costs exactly q_l single-sample residual
 evaluations, which is the machine-independent efficiency metric used
-throughout, plus q_l per-sample Jacobians when dd/dx is requested.
+throughout.  When dd/dx is requested, that one pass is the system's fused
+`jacobian` kernel, which returns the residual rows with the per-sample
+Jacobians, so it also counts q_l per-sample Jacobians.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ __all__ = ["StochasticSystem", "BlendedMap", "check_coercivity"]
 COERCIVITY_MAX_POINTS = 10 ** 5
 
 # Residual evaluators are batched over samples for speed:
-#   residual(x, xis) -> (q, n) stacking f(x, xi_i) row-wise
-#   jacobian(x, xis) -> (q, n, n) stacking df/dx(x, xi_i)
+#   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise
+#   jacobian(x, xis) -> (F, J), J (q, n, n) stacking df/dx(x, xi_i); one
+#       fused pass whose F must equal residual(x, xis) bit for bit, because
+#       the corrector reads F from here and the landing Newton from residual
 ResidualFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-JacobianFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+JacobianFn = Callable[[np.ndarray, np.ndarray],
+                      tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -88,16 +93,29 @@ class BlendedMap:
 
     # -- residual passes ---------------------------------------------------
 
-    def _residual_block(self, x: np.ndarray, q: int) -> np.ndarray:
-        vals = self.system.residual(np.asarray(x, dtype=float),
-                                    self.samples.samples[:q])
+    def _residual_block(self, x: np.ndarray, q: int, jac: bool = False):
+        """(F (q, n), J (q, n, n) or None) over the first q samples.
+
+        One kernel call either way: `residual` for F alone, the fused
+        `jacobian` pass for both.  F must be finite; each call adds q to
+        eval_counter and, with jac, q to jac_counter.
+        """
+        x = np.asarray(x, dtype=float)
+        xis = self.samples.samples[:q]
+        if jac:
+            vals, jacs = self.system.jacobian(x, xis)
+        else:
+            vals, jacs = self.system.residual(x, xis), None
         vals = np.asarray(vals, dtype=float)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals).all(axis=1))[0])
             raise FloatingPointError(
                 f"non-finite residual at sample index {bad} (x={x})")
         self.eval_counter += q
-        return vals
+        if jac:
+            self.jac_counter += q
+            jacs = np.asarray(jacs)
+        return vals, jacs
 
     def sample_average(self, ell: int, x: np.ndarray) -> np.ndarray:
         """Cumulative group average f^l(x); f^0 is identically zero and free."""
@@ -106,17 +124,17 @@ class BlendedMap:
         if ell == 0:
             return np.zeros(self.system.n)
         q = self.partition.q[ell - 1]
-        return self._residual_block(x, q).sum(axis=0) / q
+        return self._residual_block(x, q)[0].sum(axis=0) / q
 
     # -- blended map and derivatives --------------------------------------
 
     def evaluate(self, x: np.ndarray, t: float, jac: bool = True):
         """(d, dd/dt, dd/dx) at (x, t) on the segment containing t.
 
-        One residual pass over the first q_l samples gives d and
+        One kernel pass over the first q_l samples gives d and
         dd/dt = theta_l'(t) (f^l - f^{l-1}), which is exactly zero at nodes;
-        with jac, one Jacobian pass over the same samples gives dd/dx (None
-        otherwise).
+        with jac the same pass (the system's fused `jacobian`) also gives
+        dd/dx, otherwise dd/dx is None.
         """
         x = np.asarray(x, dtype=float)
         ell = segment_of(t, self.schedule)
@@ -124,14 +142,12 @@ class BlendedMap:
         thp = theta_prime(ell, t, self.schedule)
         q_hi = self.partition.q[ell - 1]
         q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
-        # reduced to its two means before the Jacobian block is allocated
-        f_lo, f_hi = _head_and_mean(self._residual_block(x, q_hi), q_lo)
+        vals, jacs = self._residual_block(x, q_hi, jac)
+        f_lo, f_hi = _head_and_mean(vals, q_lo)
         d = (1.0 - th) * f_lo + th * f_hi
         dd_dt = np.zeros(self.system.n) if thp == 0.0 else thp * (f_hi - f_lo)
         if not jac:
             return d, dd_dt, None
-        jacs = np.asarray(self.system.jacobian(x, self.samples.samples[:q_hi]))
-        self.jac_counter += q_hi
         j_lo, j_hi = _head_and_mean(jacs, q_lo)
         return d, dd_dt, (1.0 - th) * j_lo + th * j_hi
 

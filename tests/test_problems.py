@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import iv
 from grsaa.sampling import draw_samples, partition_uniform
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
+from grsaa.tracer import trace
 from grsaa import problems as P
 
 
@@ -61,7 +63,7 @@ def test_market_jacobian_matches_finite_differences():
     xis = rng.uniform(-1.0, 0.8, (5, 1))
     for _ in range(100):
         p = rng.uniform(0.05, 1.0, 3)
-        J = P.market_jacobian(p, xis)
+        _, J = P.market_jacobian(p, xis)
         h = 1e-7
         for j in range(3):
             pp, pm = p.copy(), p.copy()
@@ -70,6 +72,46 @@ def test_market_jacobian_matches_finite_differences():
             fd = (P.market_residual(pp, xis) - P.market_residual(pm, xis)) / (2 * h)
             assert np.allclose(J[:, :, j], fd, rtol=1e-5, atol=1e-7)
 
+
+def test_ces_clip_is_reported_once_per_solve():
+    # sample 9616 of seed 32 has xi > 1 - 1e-6; every kernel call whose
+    # prefix reaches it clips it, but the solve reports the clip once
+    inst = P.market_instance()
+    samples = draw_samples(inst.distribution, 10 ** 4, seed=32)
+    assert samples.samples[9616, 0] > 1.0 - 1e-6
+    hm = P.build_homotopy(inst, samples, partition_uniform(10 ** 4, 100),
+                          make_schedule("uniform", 100))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        result = trace(hm)
+    clips = [w for w in caught if "clipped CES" in str(w.message)]
+    assert len(clips) == 1 and clips[0].category is RuntimeWarning
+    assert result.status == "converged"
+    # the clipped value is unchanged, so is the answer
+    x_ref = np.array([0.4000000000000002, 0.44999999999942464, 0.15000000000057512])
+    assert np.allclose(result.x_star, x_ref, rtol=0.0, atol=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.array_equal(P.market_residual(x_ref, samples.samples[9616:9617]),
+                              P.market_residual(x_ref, np.array([[1.0 - 1e-6]])))
+
+
+@pytest.mark.parametrize("name, n", [("market", 3), ("sin", 3), ("sin", 8), ("svi", 2)])
+def test_fused_jacobian_rows_equal_residual_bit_for_bit(name, n):
+    # the corrector reads F from the fused pass and the landing Newton from
+    # residual: both must see one map
+    inst = P.get_instance(name, n)
+    rng = np.random.default_rng(5)
+    xis = rng.uniform(-1.0, 1.0, (257, 1))
+    xis[100] = 1.0 - 1e-9  # clipped by the market kernel
+    lo, hi = inst.system.box_lo, inst.system.box_hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(20):
+            x = rng.uniform(lo, hi)
+            F, J = inst.system.jacobian(x, xis)
+            assert J.shape == (257, n, n)
+            assert np.array_equal(F, inst.system.residual(x, xis))
 
 def test_market_equilibrium_arithmetic():
     p = P.MARKET_SOLUTION
@@ -145,7 +187,7 @@ def test_sin_jacobian_matches_finite_differences():
     xis = rng.uniform(-1, 1, (4, 1))
     for _ in range(100):
         x = rng.uniform(-2, 2, 3)
-        J = P.sin_jacobian(x, xis)
+        _, J = P.sin_jacobian(x, xis)
         h = 1e-7
         for j in range(3):
             xp, xm = x.copy(), x.copy()
@@ -202,7 +244,7 @@ def test_svi_jacobian_matches_finite_differences():
     xis = rng.uniform(-1, 1, (4, 1))
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
-        J = P.svi_jacobian(x, xis)
+        _, J = P.svi_jacobian(x, xis)
         h = 1e-7
         for j in range(2):
             xp, xm = x.copy(), x.copy()

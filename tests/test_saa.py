@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ def identity_in_xi_system():
     return StochasticSystem(
         n=1, m=1,
         residual=lambda x, xis: xis.copy(),
-        jacobian=lambda x, xis: np.zeros((xis.shape[0], 1, 1)),
+        jacobian=lambda x, xis: (xis.copy(), np.zeros((xis.shape[0], 1, 1))),
         box_lo=np.array([-2.0]), box_hi=np.array([2.0]), x0=np.array([0.0]))
 
 
@@ -179,13 +182,76 @@ def test_nonfinite_residual_reports_sample_index():
                     schedule=make_schedule("uniform", 1))
     with pytest.raises(FloatingPointError, match="sample index 3"):
         bm.evaluate(np.zeros(1), 0.5, jac=False)
+    # the fused (F, J) pass checks F the same way and counts nothing
+    bm.system = dataclasses.replace(
+        sys_, jacobian=lambda x, xis: (bad(x, xis), np.zeros((xis.shape[0], 1, 1))))
+    with pytest.raises(FloatingPointError, match="sample index 3"):
+        bm.evaluate(np.zeros(1), 0.5)
+    assert (bm.eval_counter, bm.jac_counter) == (0, 0)
+
+
+def problem_maps():
+    """One BlendedMap per problem kind, L = 4, with a clipped market sample."""
+    for name, n in (("market", 3), ("sin", 3), ("svi", 2)):
+        inst = P.get_instance(name, n)
+        samples = draw_samples(inst.distribution, 400, seed=1)
+        samples.samples[150] = 1.0 - 1e-9
+        yield BlendedMap(system=inst.system, samples=samples,
+                         partition=partition_uniform(400, 4),
+                         schedule=make_schedule("uniform", 4))
+
+
+def points(bm, rng):
+    nodes = np.asarray(bm.schedule.nodes)
+    lo, hi = bm.system.box_lo, bm.system.box_hi
+    for t in (*nodes, 0.1, 0.37, 0.6, 0.9):
+        yield rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)), float(t)
+
+
+def test_evaluate_paths_agree_bit_for_bit():
+    # the corrector evaluates with jac, the landing Newton without
+    rng = np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for bm in problem_maps():
+            for x, t in points(bm, rng):
+                d, dd_dt, J = bm.evaluate(x, t)
+                d2, dd_dt2, none = bm.evaluate(x, t, jac=False)
+                assert none is None and J.shape == (bm.system.n,) * 2
+                assert np.array_equal(d, d2) and np.array_equal(dd_dt, dd_dt2)
+
+
+def test_evaluate_makes_one_kernel_call():
+    calls = {}
+
+    def counted(name, fn):
+        def call(x, xis):
+            calls[name] += 1
+            return fn(x, xis)
+        return call
+
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for bm in problem_maps():
+            bm.system = dataclasses.replace(
+                bm.system, residual=counted("residual", bm.system.residual),
+                jacobian=counted("jacobian", bm.system.jacobian))
+            for x, t in points(bm, rng):
+                calls.update(residual=0, jacobian=0)
+                bm.evaluate(x, t)
+                assert calls == {"residual": 0, "jacobian": 1}
+                bm.evaluate(x, t, jac=False)
+                assert calls == {"residual": 1, "jacobian": 1}
 
 
 def coercive_map(sign):
     sys_ = StochasticSystem(
         n=2, m=1,
         residual=lambda x, xis: sign * np.repeat(x[None, :], xis.shape[0], axis=0),
-        jacobian=lambda x, xis: sign * np.repeat(np.eye(2)[None], xis.shape[0], axis=0),
+        jacobian=lambda x, xis: (
+            sign * np.repeat(x[None, :], xis.shape[0], axis=0),
+            sign * np.repeat(np.eye(2)[None], xis.shape[0], axis=0)),
         box_lo=np.array([-1.0, -1.0]), box_hi=np.array([1.0, 1.0]),
         x0=np.zeros(2))
     samples = SampleSet(np.zeros((4, 1)))
