@@ -88,11 +88,14 @@ def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
     if cfg.partition == "linear":
         part = partition_linear(cfg.tau1, L)
         N = part.N
-    else:
+    elif cfg.partition == "uniform":
         if L > cfg.N or L < 1:
             raise ValueError(f"need 1 <= L <= N, got L={L}, N={cfg.N}")
         part = partition_uniform(cfg.N, L)
         N = cfg.N
+    else:
+        raise ValueError(f"unknown partition {cfg.partition!r}: "
+                         "expected uniform or linear")
     samples = draw_samples(inst.distribution, N, seed=seed)
     sched = make_schedule(cfg.schedule, L,
                           seed=cfg.sched_seed,

@@ -1,9 +1,17 @@
-"""The traced homotopy map.  Its form follows from the problem's
-constraints B x <= b (M rows):
+"""The traced homotopy map: one formula, whose form follows from the
+problem's constraints B x <= b (M rows; M = 0 without constraints).
 
-M = 0   h(x, t) = (1-t) d(x, t) + t (x - x0) - t(1-t) alpha
-M > 0   block 1: (1-t) (d(x, t) - B^T neg(y, t)) - t (x - x0)
-        block 2: B x + pos(y, t) - b
+    block 1: (1-t) F(x, y, t) + t (x - x0) - t(1-t) alpha
+    block 2: B x + pos(y, t) - b
+
+F is the problem's operator.  With M = 0 the unknown is x alone, block 2 is
+empty and F = d(x, t), the blended sample-average map, so the map at t = 0
+is the full-sample SAA.  With constraints F = -d + B^T neg(y, t): the
+convention d = B^T lambda, lambda = neg(y, t).  It states the market
+equilibrium, where excess demand equals B^T z; the box-constrained svi needs
+d + B^T lambda instead and is traced with the wrong sign (see ROADMAP).
+alpha bends the interior of the path in either form and vanishes at both
+ends.
 
 The smoothed complementarity pair
 
@@ -28,6 +36,10 @@ import numpy as np
 from .saa import BlendedMap
 
 __all__ = ["HomotopyMap", "transform_derivs", "solve_start_y"]
+
+# the map's transform exponent kappa0; 2 is the least that keeps the
+# transform C^1 at its kink
+KAPPA0 = 2
 
 
 def _transform_factors(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -82,47 +94,45 @@ def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
 
 
 def solve_start_y(B: np.ndarray, b: np.ndarray, x0: np.ndarray,
-                  kappa0: int, t: float = 1.0) -> np.ndarray:
-    """The unique y with B x0 + pos(y, t) = b (componentwise closed form).
+                  kappa0: int) -> np.ndarray:
+    """The unique y with B x0 + pos(y, 1) = b (componentwise closed form).
 
-    pos(y, t) = c inverts to y = c^(1/kappa0) - t / c^(1/kappa0); requires
+    pos(y, 1) = c inverts to y = c^(1/kappa0) - 1 / c^(1/kappa0); requires
     c = b - B x0 > 0, i.e. a strictly interior start.
     """
     c = np.asarray(b, dtype=float) - np.asarray(B, dtype=float) @ np.asarray(x0, dtype=float)
     if np.any(c <= 0):
         raise ValueError("start point is not strictly interior: b - B x0 must be > 0")
     u = c ** (1.0 / kappa0)
-    return u - t / u
+    return u - 1.0 / u
 
 
 @dataclass
 class HomotopyMap:
     """The map traced by the predictor-corrector: values and full Jacobian.
 
-    Without constraint data (B and b None) M = 0; with it the unknowns are
-    (x, y), y holding one transform variable per constraint row.
+    The unknowns are u = (x, y), y holding one transform variable per
+    constraint row; without constraint data (B and b None) B is the empty
+    (0, n) matrix, so M = 0 and u = x.
     """
 
     blended: BlendedMap
     alpha: np.ndarray | None = None
     B: np.ndarray | None = None
     b: np.ndarray | None = None
-    kappa0: int = 2
 
     def __post_init__(self):
         n = self.blended.system.n
-        if self.alpha is None:
-            self.alpha = np.zeros(n)
-        self.alpha = np.asarray(self.alpha, dtype=float)
+        self.alpha = np.zeros(n) if self.alpha is None else np.asarray(self.alpha, dtype=float)
+        if self.alpha.shape != (n,):
+            raise ValueError(f"alpha must have {n} entries, one per state "
+                             f"component; got shape {self.alpha.shape}")
         if (self.B is None) != (self.b is None):
             raise ValueError("constraint data needs both B and b")
-        if self.B is not None:
-            self.B = np.asarray(self.B, dtype=float)
-            self.b = np.asarray(self.b, dtype=float)
-            if self.kappa0 < 2:
-                raise ValueError("kappa0 must be at least 2")
-            if self.B.shape[1] != n or self.b.shape != (self.M,):
-                raise ValueError("constraint dimensions do not match the system")
+        self.B = np.zeros((0, n)) if self.B is None else np.asarray(self.B, dtype=float)
+        self.b = np.zeros(0) if self.b is None else np.asarray(self.b, dtype=float)
+        if self.B.ndim != 2 or self.B.shape[1] != n or self.b.shape != (self.M,):
+            raise ValueError("constraint dimensions do not match the system")
 
     @property
     def n(self) -> int:
@@ -130,7 +140,7 @@ class HomotopyMap:
 
     @property
     def M(self) -> int:
-        return 0 if self.B is None else self.B.shape[0]
+        return self.B.shape[0]
 
     @property
     def dim(self) -> int:
@@ -148,55 +158,41 @@ class HomotopyMap:
         return 0.0 if self.M == 0 else 1e-8
 
     def start_point(self) -> np.ndarray:
-        """The unique solution at t = 1."""
-        if self.M == 0:
-            return self.x0.copy()
-        y1 = solve_start_y(self.B, self.b, self.x0, self.kappa0, t=1.0)
-        return np.concatenate([self.x0, y1])
+        """The unique solution at t = 1: x0, with the y that solves block 2."""
+        return np.concatenate([self.x0, solve_start_y(self.B, self.b, self.x0, KAPPA0)])
 
     def evaluate(self, u: np.ndarray, t: float, jac: bool = True):
         """(h(u, t), J) from one pass of the blended map.
 
         J is the dim x (dim + 1) Jacobian in (u, t), the last column being
-        the t-derivative, or None without jac.  The plain map at t = 1 is
-        the translation x - x0 and needs no sampling unless J is requested.
+        the t-derivative, or None without jac.
         """
         u = np.asarray(u, dtype=float)
         n, M = self.n, self.M
         x, y = u[:n], u[n:]
-        if M == 0:
-            if t == 1.0 and not jac:
-                return x - self.x0, None
-            d, dd_dt, dd_dx = self.blended.evaluate(x, t, jac)
-            if t == 1.0:
-                h = x - self.x0
-            elif t == 0.0:
-                h = d
-            else:
-                h = (1.0 - t) * d + t * (x - self.x0) - t * (1.0 - t) * self.alpha
-            if not jac:
-                return h, None
-            J = np.empty((n, n + 1))
-            J[:, :n] = (1.0 - t) * dd_dx + t * np.eye(n)
-            J[:, n] = (-d + (1.0 - t) * dd_dt + (x - self.x0)
-                       - (1.0 - 2.0 * t) * self.alpha)
-            return h, J
-        tr = transform_derivs(y, t, self.kappa0)
         d, dd_dt, dd_dx = self.blended.evaluate(x, t, jac)
-        block1 = (1.0 - t) * (d - self.B.T @ tr["neg"]) - t * (x - self.x0)
-        block2 = self.B @ x + tr["pos"] - self.b
-        h = np.concatenate([block1, block2])
+        # the operator F and its partials; the constraint terms only for M > 0
+        F, dF_dt, dF_dx = d, dd_dt, dd_dx
+        if M:
+            tr = transform_derivs(y, t, KAPPA0)
+            F = -d + self.B.T @ tr["neg"]
+            if jac:
+                dF_dt = -dd_dt + self.B.T @ tr["dneg_dt"]
+                dF_dx = -dd_dx
+        h = (1.0 - t) * F + t * (x - self.x0) - t * (1.0 - t) * self.alpha
+        if M:
+            h = np.concatenate([h, self.B @ x + tr["pos"] - self.b])
         if not jac:
             return h, None
-        J = np.zeros((n + M, n + M + 1))
+        J = np.empty((n + M, n + M + 1))  # every block is assigned below
         # block 1 rows
-        J[:n, :n] = (1.0 - t) * dd_dx - t * np.eye(n)
-        J[:n, n:n + M] = -(1.0 - t) * (self.B.T * tr["dneg_dy"])
-        J[:n, n + M] = (-(d - self.B.T @ tr["neg"])
-                        + (1.0 - t) * (dd_dt - self.B.T @ tr["dneg_dt"])
-                        - (x - self.x0))
-        # block 2 rows
-        J[n:, :n] = self.B
-        J[n:, n:n + M] = np.diag(tr["dpos_dy"])
-        J[n:, n + M] = tr["dpos_dt"]
+        J[:n, :n] = (1.0 - t) * dF_dx + t * np.eye(n)
+        J[:n, n + M] = (-F + (1.0 - t) * dF_dt + (x - self.x0)
+                        - (1.0 - 2.0 * t) * self.alpha)
+        if M:
+            J[:n, n:n + M] = (1.0 - t) * (self.B.T * tr["dneg_dy"])
+            # block 2 rows
+            J[n:, :n] = self.B
+            J[n:, n:n + M] = np.diag(tr["dpos_dy"])
+            J[n:, n + M] = tr["dpos_dt"]
         return h, J

@@ -319,6 +319,8 @@ def oracle_solve(inst: ProblemInstance, start: np.ndarray,
 
 def get_instance(name: str, n: int = 3) -> ProblemInstance:
     if name == "market":
+        if n != 3:
+            raise ValueError(f"the market problem has n = 3 goods, got n={n}")
         return market_instance()
     if name == "sin":
         return sin_instance(n)

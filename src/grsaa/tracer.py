@@ -126,7 +126,6 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
         rhs = np.concatenate([r, [tau @ (v - anchor)]])
         v = v + np.linalg.solve(A, -rhs)
         v[d] = min(max(v[d], 0.0), 1.0)
-    return None
 
 
 def _solve_at_t(hm: HomotopyMap, u: np.ndarray, t: float,
@@ -205,14 +204,10 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             result = terminal(u)
             if result is not None:
                 return result
-            h *= cfg.shrink
-            if h < cfg.h_min:
-                return finish("stalled", u, t, res0)
-            counters["rejected_steps"] += 1
-            continue
-        u_pred = u + h * tau[:d]
-        hit = correct(hm, u_pred, t_pred, tau, cfg)
-        if hit is None:
+            hit = None
+        else:
+            hit = correct(hm, u + h * tau[:d], t_pred, tau, cfg)
+        if hit is None:  # the landing or the corrector failed: shrink, retry
             h *= cfg.shrink
             if h < cfg.h_min:
                 return finish("stalled", u, t, res0)

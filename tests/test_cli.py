@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grsaa.cli import EXIT_CONFIG, EXIT_OK, RunConfig, build_run, main
@@ -82,6 +83,35 @@ def test_invalid_l_is_exit_3(tmp_path, capsys):
 def test_unknown_problem_is_exit_3(tmp_path, capsys):
     code = run(["solve", "--problem", "heat", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra, word", [
+    (["--alpha", "1,2,3"], "alpha"),  # one entry too many for n = 2
+    (["--partition", "lineer"], "partition"),
+    (["--problem", "market", "--n", "5"], "market"),  # market has n = 3
+], ids=["alpha-length", "partition-kind", "market-n"])
+def test_setting_that_cannot_run_as_given_is_exit_3(tmp_path, capsys, extra, word):
+    # refused, not replaced: config.resolved would record a run that did not happen
+    code = run(solve_args(tmp_path, extra))
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    assert word in capsys.readouterr().err
+
+
+def test_alpha_bends_the_constrained_path(tmp_path, capsys):
+    # alpha reaches the KKT map: same equilibrium, a different path
+    runs = {}
+    for label, extra in (("base", []), ("bent", ["--alpha", "5,-5,5"])):
+        out = tmp_path / label
+        code = run(["solve", "--problem", "market", "--N", "500", "--L", "5",
+                    "--out", str(out), *extra])
+        assert code == EXIT_OK
+        runs[label] = json.loads((out / "summary.json").read_text())
+    assert np.allclose(runs["base"]["x_star"], runs["bent"]["x_star"],
+                       rtol=0, atol=1e-8)
+    assert (runs["base"]["counters"]["sample_evals"]
+            != runs["bent"]["counters"]["sample_evals"])
     capsys.readouterr()
 
 

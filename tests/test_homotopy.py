@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from grsaa.homotopy import HomotopyMap, solve_start_y, transform_derivs
+from grsaa.homotopy import KAPPA0, HomotopyMap, solve_start_y, transform_derivs
 from grsaa.sampling import draw_samples, partition_uniform
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule, segment_of
@@ -19,13 +19,13 @@ def plain_map(n=3, N=120, L=4, seed=0, alpha=None):
     return HomotopyMap(blended=bm, alpha=alpha)
 
 
-def kkt_map(problem="svi", n=2, N=120, L=4, seed=0):
+def kkt_map(problem="svi", n=2, N=120, L=4, seed=0, alpha=None):
     inst = P.get_instance(problem, n)
     samples = draw_samples(inst.distribution, N, seed=seed)
     bm = BlendedMap(system=inst.system, samples=samples,
                     partition=partition_uniform(N, L),
                     schedule=make_schedule("uniform", L))
-    return HomotopyMap(blended=bm, B=inst.B, b=inst.b)
+    return HomotopyMap(blended=bm, alpha=alpha, B=inst.B, b=inst.b)
 
 
 def value(hm, u, t):
@@ -37,9 +37,7 @@ def value(hm, u, t):
 def test_plain_start_is_exact_zero_without_sampling():
     hm = plain_map()
     x0 = hm.start_point()
-    before = hm.blended.eval_counter
     assert np.array_equal(value(hm, x0, 1.0), np.zeros(3))
-    assert hm.blended.eval_counter == before  # t=1 short-circuits sampling
 
 
 def test_plain_t1_is_translation():
@@ -56,13 +54,17 @@ def test_plain_t0_is_full_saa_map():
 
 
 def test_alpha_never_changes_the_endpoints():
-    base = plain_map(alpha=None)
-    bent = plain_map(alpha=np.array([2.0, -1.0, 0.5]))
-    x = np.array([0.6, -0.2, 0.9])
-    for t in (0.0, 1.0):
-        assert np.array_equal(value(base, x, t), value(bent, x, t))
-    # but it does perturb the interior of the path
-    assert not np.allclose(value(base, x, 0.5), value(bent, x, 0.5))
+    # the plain map and the KKT map (svi, n = 2) take alpha alike
+    cases = ((plain_map, np.array([2.0, -1.0, 0.5]), np.array([0.6, -0.2, 0.9])),
+             (kkt_map, np.array([2.0, -1.0]),
+              np.array([0.6, -0.2, 0.3, -1.1, 0.8, 1.4])))
+    for make, alpha, u in cases:
+        base = make(alpha=None)
+        bent = make(alpha=alpha)
+        for t in (0.0, 1.0):
+            assert np.array_equal(value(base, u, t), value(bent, u, t))
+        # but it does perturb the interior of the path
+        assert not np.allclose(value(base, u, 0.5), value(bent, u, 0.5))
 
 
 def test_plain_hand_value_single_sample():
@@ -187,7 +189,7 @@ def test_solve_start_y_matches_bisection_oracle():
     b = np.full(4, 10.0)
     x0 = np.array([0.3, -1.2])
     for kappa0 in (2, 3):
-        y = solve_start_y(B, b, x0, kappa0, t=1.0)
+        y = solve_start_y(B, b, x0, kappa0)
         c = b - B @ x0
         for k in range(4):
             root = brentq(
@@ -239,33 +241,39 @@ def test_kkt_zero_carries_feasibility_and_complementarity():
     x = np.array([0.8])
     # pick y solving block 2 exactly, then check the advertised structure
     c = hm.b - hm.B @ x
-    y = c ** (1.0 / hm.kappa0) - t / c ** (1.0 / hm.kappa0)
-    neg, pos = neg_pos(y, t, hm.kappa0)
+    y = c ** (1.0 / KAPPA0) - t / c ** (1.0 / KAPPA0)
+    neg, pos = neg_pos(y, t, KAPPA0)
     assert np.allclose(hm.B @ x + pos, hm.b, rtol=1e-13)
     assert np.all(pos >= 0) and np.all(neg >= 0)
-    assert np.allclose(neg * pos, t ** hm.kappa0, rtol=1e-12)
+    assert np.allclose(neg * pos, t ** KAPPA0, rtol=1e-12)
 
 
 def test_jac_kkt_structure_and_finite_differences():
-    hm = kkt_map("svi", 2, N=80, L=3)
-    rng = np.random.default_rng(3)
-    nodes = np.asarray(hm.blended.schedule.nodes)
-    checked = 0
-    while checked < 40:
-        u = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-2, 2, 4)])
-        t = rng.uniform(0.02, 0.98)
-        if np.min(np.abs(nodes - t)) < 1e-3:
-            continue
-        J = hm.evaluate(u, t)[1]
-        assert J.shape == (6, 7)
-        assert np.array_equal(J[2:, :2], hm.B)  # block 2 is linear in x
-        h = 1e-6
-        for j in range(6):
-            up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            fd = (value(hm, up, t) - value(hm, um, t)) / (2 * h)
-            assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-6)
-        fd_t = (value(hm, u, t + h) - value(hm, u, t - h)) / (2 * h)
-        assert np.allclose(J[:, 6], fd_t, rtol=1e-5, atol=1e-5)
-        checked += 1
+    # svi n = 2 and the assembled market map, both bent by alpha != 0;
+    # market prices are drawn inside the box, where log p is defined
+    cases = (("svi", 2, np.array([0.7, -0.4]), (-1.0, 1.0)),
+             ("market", 3, np.array([0.5, -0.3, 0.2]), (0.1, 0.9)))
+    for problem, n, alpha, (lo, hi) in cases:
+        hm = kkt_map(problem, n, N=80, L=3, alpha=alpha)
+        M, dim = hm.M, hm.dim
+        rng = np.random.default_rng(3)
+        nodes = np.asarray(hm.blended.schedule.nodes)
+        checked = 0
+        while checked < 40:
+            u = np.concatenate([rng.uniform(lo, hi, n), rng.uniform(-2, 2, M)])
+            t = rng.uniform(0.02, 0.98)
+            if np.min(np.abs(nodes - t)) < 1e-3:
+                continue
+            J = hm.evaluate(u, t)[1]
+            assert J.shape == (dim, dim + 1)
+            assert np.array_equal(J[n:, :n], hm.B)  # block 2 is linear in x
+            h = 1e-6
+            for j in range(dim):
+                up, um = u.copy(), u.copy()
+                up[j] += h
+                um[j] -= h
+                fd = (value(hm, up, t) - value(hm, um, t)) / (2 * h)
+                assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-6)
+            fd_t = (value(hm, u, t + h) - value(hm, u, t - h)) / (2 * h)
+            assert np.allclose(J[:, dim], fd_t, rtol=1e-5, atol=1e-5)
+            checked += 1
