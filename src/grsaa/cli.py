@@ -132,6 +132,7 @@ def _write_artifacts(outdir: Path, cfg: RunConfig, summary: dict,
 
 def cmd_solve(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
+    cfg = replace(cfg, N=hm.blended.samples.N)  # tau1 * L under partition=linear
     t0 = time.perf_counter()
     result = trace(hm, _tracer_config(cfg))
     wall = time.perf_counter() - t0
@@ -161,7 +162,8 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
             evals.append(result.counters["sample_evals"])
             if result.status != "converged":
                 worst = result.status
-        rows.append({"L": L, "mean_sample_evals": float(np.mean(evals)),
+        rows.append({"L": L, "N": hm.blended.samples.N,
+                     "mean_sample_evals": float(np.mean(evals)),
                      "min_sample_evals": int(np.min(evals)),
                      "max_sample_evals": int(np.max(evals)),
                      "mean_wall_time_s": float(np.mean(walls))})
@@ -211,6 +213,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
+    cfg = replace(cfg, N=hm.blended.samples.N)  # tau1 * L under partition=linear
     report = check_coercivity(hm.blended)
     out = {"min_inner_product": report["min_inner_product"],
            "warning": report["warning"],

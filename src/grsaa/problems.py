@@ -2,10 +2,10 @@
 box-constrained stochastic variational inequality.
 
 Each problem supplies a batched residual f(x, xi), a fused kernel that
-returns the same residual rows with their analytic x-Jacobians from one
-pass, a domain box with an interior reference point, and (where one exists)
-an independent ground-truth oracle built on the analytic expectation of the
-residual.
+returns the same residual rows with the w-weighted sum of their analytic
+x-Jacobians from one pass (no per-sample Jacobian is stored), a domain box
+with an interior reference point, and (where one exists) an independent
+ground-truth oracle built on the analytic expectation of the residual.
 """
 
 from __future__ import annotations
@@ -96,14 +96,19 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
         l = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
     e = 1.0 / (xi - 1.0)  # (q,)
     # terms[k, i, j] = e_k * logW_ij + (1 + e_k) * l_j
-    terms = e[:, None, None] * _LOG_W[None, :, :] \
-        + (1.0 + e)[:, None, None] * l[None, None, :]
+    terms = e[:, None, None] * _LOG_W[None, :, :]
+    terms += (1.0 + e)[:, None, None] * l[None, None, :]
     tmax = terms.max(axis=2, keepdims=True)
     terms -= tmax
     expt = np.exp(terms, out=terms)
     sumexp = expt.sum(axis=2)
-    lse = tmax[:, :, 0] + np.log(sumexp)  # (q, 3)
-    share = np.exp(e[:, None] * l[None, :] - lse)  # (q, 3)
+    lse = np.log(sumexp)
+    lse += tmax[:, :, 0]  # (q, 3)
+    del tmax
+    share = e[:, None] * l[None, :]
+    share -= lse
+    del lse
+    np.exp(share, out=share)  # (q, 3)
     softmax = np.divide(expt, sumexp[:, :, None], out=expt)  # (q, 3, 3)
     return p, e, share, softmax
 
@@ -114,19 +119,21 @@ def market_residual(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return p.sum() * share
 
 
-def market_jacobian(p: np.ndarray, xis: np.ndarray):
-    """(F, J): market_residual's rows and their p-Jacobians from one pass."""
+def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray):
+    """(F, sum_k w_k J_k): market_residual's rows and the w-weighted sum of
+    their p-Jacobians from one pass."""
     p, e, share, softmax = _market_parts(p, xis)
     S = p.sum()
-    # d share_i / d p_j = share_i * (e d_ij - (1+e) softmax_ij) / p_j and
-    # J = share + S * dshare, built in one (q, 3, 3) buffer
-    J = e[:, None, None] * np.eye(3)
-    softmax *= (1.0 + e)[:, None, None]
-    J -= softmax
-    J *= share[:, :, None]
-    J /= p
-    J *= S
-    J += share[:, :, None]
+    # J_k = share_k 1^T + S * dshare_k with dshare_k,ij = share_ki *
+    # (e_k d_ij - (1+e_k) softmax_kij) / p_j, so the weighted sum is
+    # a 1^T + (S/p_j)(d_ij b_i - C_ij) with a = w^T share, b = (w e)^T share
+    # and C_ij = sum_k w_k (1+e_k) share_ki softmax_kij, taken in place
+    softmax *= (w * (1.0 + e))[:, None, None]
+    C = np.einsum("ki,kij->ij", share, softmax)
+    J = np.diag((w * e) @ share)
+    J -= C
+    J *= S / p
+    J += (w @ share)[:, None]
     return S * share, J
 
 
@@ -178,15 +185,11 @@ def _phase(x: np.ndarray, xis: np.ndarray):
     return x, i_arr, i_arr[None, :] * x.sum() + xi[:, None]  # (q, n)
 
 
-def _eye_plus_columns(coef: np.ndarray) -> np.ndarray:
-    """I + coef[k, :, None] 1^T per row k, built in one (q, n, n) buffer.
-
-    Repeating coef across the columns gives the bits of coef * 1 (x * 1.0
-    is x in IEEE arithmetic) without the broadcast buffers of a multiply.
-    """
+def _eye_plus_rank1(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k (I + coef[k, :, None] 1^T) = (sum w) I + (coef^T w) 1^T."""
     n = coef.shape[1]
-    J = np.repeat(coef[:, :, None], n, axis=2)
-    J += np.eye(n)
+    J = np.repeat((w @ coef)[:, None], n, axis=1)
+    J += w.sum() * np.eye(n)
     return J
 
 
@@ -196,12 +199,13 @@ def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return x[None, :] - 5.0 * np.sin(phase)
 
 
-def sin_jacobian(x: np.ndarray, xis: np.ndarray):
-    """(F, J): sin_residual's rows and their x-Jacobians from one pass."""
+def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
+    """(F, sum_k w_k J_k): sin_residual's rows and the w-weighted sum of
+    their x-Jacobians I + c_k 1^T from one pass."""
     x, i_arr, phase = _phase(x, xis)
     F = x[None, :] - 5.0 * np.sin(phase)
     coef = -5.0 * i_arr[None, :] * np.cos(phase, out=phase)  # (q, n)
-    return F, _eye_plus_columns(coef)
+    return F, _eye_plus_rank1(coef, w)
 
 
 def sin_expectation(x: np.ndarray) -> np.ndarray:
@@ -238,17 +242,17 @@ def svi_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return x[None, :] - np.exp(np.cos(phase))
 
 
-def svi_jacobian(x: np.ndarray, xis: np.ndarray):
-    """(F, J): svi_residual's rows and their x-Jacobians from one pass."""
+def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
+    """(F, sum_k w_k J_k): svi_residual's rows and the w-weighted sum of
+    their x-Jacobians I + c_k 1^T from one pass."""
     x, i_arr, phase = _phase(x, xis)
-    ec = np.exp(np.cos(phase))
-    # coef = ec * sin(phase) * i in phase's buffer, then F in ec's, so that
-    # F and J together hold no more memory than J alone did
+    ec = np.cos(phase)
+    np.exp(ec, out=ec)
+    # coef = ec * sin(phase) * i in phase's buffer, then F in ec's
     coef = np.sin(phase, out=phase)
     coef *= ec
     coef *= i_arr
-    J = _eye_plus_columns(coef)
-    return np.subtract(x[None, :], ec, out=ec), J
+    return np.subtract(x[None, :], ec, out=ec), _eye_plus_rank1(coef, w)
 
 
 def _exp_cos_mean(a: float) -> float:

@@ -9,8 +9,10 @@ over q_l samples yields both averages, hence d and its t-derivative; an
 evaluation at (x, t) therefore costs exactly q_l single-sample residual
 evaluations, which is the machine-independent efficiency metric used
 throughout.  When dd/dx is requested, that one pass is the system's fused
-`jacobian` kernel, which returns the residual rows with the per-sample
-Jacobians, so it also counts q_l per-sample Jacobians.
+`jacobian` kernel.  dd/dx = (1 - theta) J^{l-1} + theta J^l is one weighted
+sum sum_k w_k J_k of the per-sample Jacobians, so the kernel takes the
+weights w and returns the residual rows with that (n, n) sum; the pass
+still counts q_l per-sample Jacobians.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ COERCIVITY_MAX_POINTS = 10 ** 5
 
 # Residual evaluators are batched over samples for speed:
 #   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise
-#   jacobian(x, xis) -> (F, J), J (q, n, n) stacking df/dx(x, xi_i); one
-#       fused pass whose F must equal residual(x, xis) bit for bit, because
-#       the corrector reads F from here and the landing Newton from residual
+#   jacobian(x, xis, w) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k) for
+#       weights w (q,); one fused pass whose F must equal residual(x, xis)
+#       bit for bit, because the corrector reads F from here and the landing
+#       Newton from residual
 ResidualFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-JacobianFn = Callable[[np.ndarray, np.ndarray],
+JacobianFn = Callable[[np.ndarray, np.ndarray, np.ndarray],
                       tuple[np.ndarray, np.ndarray]]
 
 
@@ -93,29 +96,28 @@ class BlendedMap:
 
     # -- residual passes ---------------------------------------------------
 
-    def _residual_block(self, x: np.ndarray, q: int, jac: bool = False):
-        """(F (q, n), J (q, n, n) or None) over the first q samples.
+    def _residual_block(self, x: np.ndarray, q: int, w: np.ndarray | None = None):
+        """(F (q, n), sum_k w_k J_k (n, n) or None) over the first q samples.
 
         One kernel call either way: `residual` for F alone, the fused
-        `jacobian` pass for both.  F must be finite; each call adds q to
-        eval_counter and, with jac, q to jac_counter.
+        `jacobian` pass when weights w (q,) are given.  F must be finite;
+        each call adds q to eval_counter and, with w, q to jac_counter.
         """
         x = np.asarray(x, dtype=float)
         xis = self.samples.samples[:q]
-        if jac:
-            vals, jacs = self.system.jacobian(x, xis)
+        if w is not None:
+            vals, jac = self.system.jacobian(x, xis, w)
         else:
-            vals, jacs = self.system.residual(x, xis), None
+            vals, jac = self.system.residual(x, xis), None
         vals = np.asarray(vals, dtype=float)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals).all(axis=1))[0])
             raise FloatingPointError(
                 f"non-finite residual at sample index {bad} (x={x})")
         self.eval_counter += q
-        if jac:
+        if w is not None:
             self.jac_counter += q
-            jacs = np.asarray(jacs)
-        return vals, jacs
+        return vals, jac
 
     def sample_average(self, ell: int, x: np.ndarray) -> np.ndarray:
         """Cumulative group average f^l(x); f^0 is identically zero and free."""
@@ -134,7 +136,8 @@ class BlendedMap:
         One kernel pass over the first q_l samples gives d and
         dd/dt = theta_l'(t) (f^l - f^{l-1}), which is exactly zero at nodes;
         with jac the same pass (the system's fused `jacobian`) also gives
-        dd/dx, otherwise dd/dx is None.
+        dd/dx = sum_k w_k J_k, where w_k = theta/q_l on every row plus
+        (1 - theta)/q_{l-1} on the first q_{l-1}; otherwise dd/dx is None.
         """
         x = np.asarray(x, dtype=float)
         ell = segment_of(t, self.schedule)
@@ -142,21 +145,23 @@ class BlendedMap:
         thp = theta_prime(ell, t, self.schedule)
         q_hi = self.partition.q[ell - 1]
         q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
-        vals, jacs = self._residual_block(x, q_hi, jac)
+        w = None
+        if jac:
+            w = np.full(q_hi, th / q_hi)
+            if q_lo > 0:
+                w[:q_lo] += (1.0 - th) / q_lo
+        vals, dd_dx = self._residual_block(x, q_hi, w)
         f_lo, f_hi = _head_and_mean(vals, q_lo)
         d = (1.0 - th) * f_lo + th * f_hi
         dd_dt = np.zeros(self.system.n) if thp == 0.0 else thp * (f_hi - f_lo)
-        if not jac:
-            return d, dd_dt, None
-        j_lo, j_hi = _head_and_mean(jacs, q_lo)
-        return d, dd_dt, (1.0 - th) * j_lo + th * j_hi
+        return d, dd_dt, dd_dx
 
 
-def _head_and_mean(block: np.ndarray, q_lo: int) -> tuple[np.ndarray, np.ndarray]:
+def _head_and_mean(vals: np.ndarray, q_lo: int) -> tuple[np.ndarray, np.ndarray]:
     """(mean of the first q_lo rows, mean of all rows); an empty head is 0."""
-    head = (block[:q_lo].sum(axis=0) / q_lo if q_lo > 0
-            else np.zeros(block.shape[1:]))
-    return head, block.sum(axis=0) / block.shape[0]
+    head = (vals[:q_lo].sum(axis=0) / q_lo if q_lo > 0
+            else np.zeros(vals.shape[1]))
+    return head, vals.sum(axis=0) / vals.shape[0]
 
 
 def check_coercivity(bm: BlendedMap, grid_density: int = 8,

@@ -140,6 +140,23 @@ def test_sweep_l_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_linear_partition_records_the_sample_count_that_ran(tmp_path, capsys):
+    # partition=linear draws tau1 * L samples whatever N says
+    out = tmp_path / "lin"
+    assert run(["solve", "--problem", "sin", "--n", "2", "--partition", "linear",
+                "--tau1", "20", "--L", "3", "--N", "12345",
+                "--out", str(out)]) == EXIT_OK
+    assert "N=60\n" in (out / "config.resolved").read_text()
+    assert json.loads((out / "summary.json").read_text())["config"]["N"] == 60
+    sweep = tmp_path / "sweep"
+    assert run(["sweep-l", "--problem", "sin", "--n", "2", "--partition", "linear",
+                "--tau1", "20", "--N", "12345", "--L-values", "1,3",
+                "--out", str(sweep)]) == EXIT_OK
+    rows = json.loads((sweep / "summary.json").read_text())["rows"]
+    assert [r["N"] for r in rows] == [20, 60]
+    capsys.readouterr()
+
+
 def test_sweep_l_requires_l_values(tmp_path, capsys):
     code = run(["sweep-l", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG

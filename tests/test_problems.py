@@ -58,19 +58,35 @@ def test_market_residual_is_stable_near_xi_one():
     assert np.all(np.isfinite(out))
 
 
+def check_weighted_jacobian(jacobian, residual, xs, xis, ws, rtol, atol):
+    """The kernel's sum_k w_k J_k against central differences (h = 1e-7):
+    per sample with one-hot w, and for each random w in ws against
+    sum_k w_k FD_k."""
+    h = 1e-7
+    q = xis.shape[0]
+    for x, w in zip(xs, ws):
+        n = x.size
+        fd = np.empty((q, n, n))
+        for j in range(n):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fd[:, :, j] = (residual(xp, xis) - residual(xm, xis)) / (2 * h)
+        for k, onehot in enumerate(np.eye(q)):
+            _, J = jacobian(x, xis, onehot)
+            assert J.shape == (n, n)
+            assert np.allclose(J, fd[k], rtol=rtol, atol=atol)
+        _, J = jacobian(x, xis, w)
+        assert np.allclose(J, np.einsum("k,kij->ij", w, fd), rtol=rtol, atol=atol)
+
+
 def test_market_jacobian_matches_finite_differences():
     rng = np.random.default_rng(1)
     xis = rng.uniform(-1.0, 0.8, (5, 1))
-    for _ in range(100):
-        p = rng.uniform(0.05, 1.0, 3)
-        _, J = P.market_jacobian(p, xis)
-        h = 1e-7
-        for j in range(3):
-            pp, pm = p.copy(), p.copy()
-            pp[j] += h
-            pm[j] -= h
-            fd = (P.market_residual(pp, xis) - P.market_residual(pm, xis)) / (2 * h)
-            assert np.allclose(J[:, :, j], fd, rtol=1e-5, atol=1e-7)
+    ps = [rng.uniform(0.05, 1.0, 3) for _ in range(100)]
+    ws = rng.uniform(0.0, 1.0, (100, 5))
+    check_weighted_jacobian(P.market_jacobian, P.market_residual, ps, xis, ws,
+                            rtol=1e-5, atol=1e-7)
 
 
 def test_ces_clip_is_reported_once_per_solve():
@@ -109,8 +125,8 @@ def test_fused_jacobian_rows_equal_residual_bit_for_bit(name, n):
         warnings.simplefilter("ignore", RuntimeWarning)
         for _ in range(20):
             x = rng.uniform(lo, hi)
-            F, J = inst.system.jacobian(x, xis)
-            assert J.shape == (257, n, n)
+            F, J = inst.system.jacobian(x, xis, np.full(257, 1.0 / 257))
+            assert J.shape == (n, n)
             assert np.array_equal(F, inst.system.residual(x, xis))
 
 def test_market_equilibrium_arithmetic():
@@ -185,16 +201,10 @@ def test_sin_expectation_against_quadrature():
 def test_sin_jacobian_matches_finite_differences():
     rng = np.random.default_rng(2)
     xis = rng.uniform(-1, 1, (4, 1))
-    for _ in range(100):
-        x = rng.uniform(-2, 2, 3)
-        _, J = P.sin_jacobian(x, xis)
-        h = 1e-7
-        for j in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd = (P.sin_residual(xp, xis) - P.sin_residual(xm, xis)) / (2 * h)
-            assert np.allclose(J[:, :, j], fd, rtol=1e-5, atol=1e-6)
+    xs = [rng.uniform(-2, 2, 3) for _ in range(100)]
+    ws = rng.uniform(0.0, 1.0, (100, 4))
+    check_weighted_jacobian(P.sin_jacobian, P.sin_residual, xs, xis, ws,
+                            rtol=1e-5, atol=1e-6)
 
 
 def test_sin_expectation_jac_matches_finite_differences():
@@ -242,16 +252,10 @@ def test_svi_expectation_against_bessel_series():
 def test_svi_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     xis = rng.uniform(-1, 1, (4, 1))
-    for _ in range(100):
-        x = rng.uniform(-2, 2, 2)
-        _, J = P.svi_jacobian(x, xis)
-        h = 1e-7
-        for j in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd = (P.svi_residual(xp, xis) - P.svi_residual(xm, xis)) / (2 * h)
-            assert np.allclose(J[:, :, j], fd, rtol=1e-5, atol=1e-6)
+    xs = [rng.uniform(-2, 2, 2) for _ in range(100)]
+    ws = rng.uniform(0.0, 1.0, (100, 4))
+    check_weighted_jacobian(P.svi_jacobian, P.svi_residual, xs, xis, ws,
+                            rtol=1e-5, atol=1e-6)
 
 
 def test_svi_instance_box_constraints():

@@ -7,7 +7,7 @@ import pytest
 from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
 from grsaa.saa import (COERCIVITY_MAX_POINTS, BlendedMap, StochasticSystem,
                        check_coercivity)
-from grsaa.schedule import make_schedule
+from grsaa.schedule import make_schedule, segment_of, theta
 from grsaa import problems as P
 
 
@@ -16,7 +16,7 @@ def identity_in_xi_system():
     return StochasticSystem(
         n=1, m=1,
         residual=lambda x, xis: xis.copy(),
-        jacobian=lambda x, xis: (xis.copy(), np.zeros((xis.shape[0], 1, 1))),
+        jacobian=lambda x, xis, w: (xis.copy(), np.zeros((1, 1))),
         box_lo=np.array([-2.0]), box_hi=np.array([2.0]), x0=np.array([0.0]))
 
 
@@ -184,7 +184,7 @@ def test_nonfinite_residual_reports_sample_index():
         bm.evaluate(np.zeros(1), 0.5, jac=False)
     # the fused (F, J) pass checks F the same way and counts nothing
     bm.system = dataclasses.replace(
-        sys_, jacobian=lambda x, xis: (bad(x, xis), np.zeros((xis.shape[0], 1, 1))))
+        sys_, jacobian=lambda x, xis, w: (bad(x, xis), np.zeros((1, 1))))
     with pytest.raises(FloatingPointError, match="sample index 3"):
         bm.evaluate(np.zeros(1), 0.5)
     assert (bm.eval_counter, bm.jac_counter) == (0, 0)
@@ -225,9 +225,9 @@ def test_evaluate_makes_one_kernel_call():
     calls = {}
 
     def counted(name, fn):
-        def call(x, xis):
+        def call(x, xis, *w):
             calls[name] += 1
-            return fn(x, xis)
+            return fn(x, xis, *w)
         return call
 
     rng = np.random.default_rng(12)
@@ -245,13 +245,37 @@ def test_evaluate_makes_one_kernel_call():
                 assert calls == {"residual": 1, "jacobian": 1}
 
 
+def test_evaluate_jacobian_blends_per_sample_jacobians():
+    # dd/dx = (1 - theta) J^{l-1} + theta J^l, J^l the mean of the first q_l
+    # per-sample Jacobians, here by central differences
+    rng = np.random.default_rng(13)
+    h = 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for bm in problem_maps():
+            n = bm.system.n
+            for x, t in points(bm, rng):
+                ell = segment_of(t, bm.schedule)
+                th = theta(ell, t, bm.schedule)
+                q_hi = bm.partition.q[ell - 1]
+                q_lo = bm.partition.q[ell - 2] if ell >= 2 else 0
+                xis = bm.samples.samples[:q_hi]
+                fd = np.empty((q_hi, n, n))
+                for j, step in enumerate(h * np.eye(n)):
+                    fd[:, :, j] = (bm.system.residual(x + step, xis)
+                                   - bm.system.residual(x - step, xis)) / (2 * h)
+                head = fd[:q_lo].mean(axis=0) if q_lo else np.zeros((n, n))
+                want = (1.0 - th) * head + th * fd.mean(axis=0)
+                assert np.allclose(bm.evaluate(x, t)[2], want, rtol=1e-5, atol=1e-6)
+
+
 def coercive_map(sign):
     sys_ = StochasticSystem(
         n=2, m=1,
         residual=lambda x, xis: sign * np.repeat(x[None, :], xis.shape[0], axis=0),
-        jacobian=lambda x, xis: (
+        jacobian=lambda x, xis, w: (
             sign * np.repeat(x[None, :], xis.shape[0], axis=0),
-            sign * np.repeat(np.eye(2)[None], xis.shape[0], axis=0)),
+            sign * w.sum() * np.eye(2)),
         box_lo=np.array([-1.0, -1.0]), box_hi=np.array([1.0, 1.0]),
         x0=np.zeros(2))
     samples = SampleSet(np.zeros((4, 1)))

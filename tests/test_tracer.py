@@ -54,8 +54,8 @@ def linear_hm():
     sys_ = StochasticSystem(
         n=1, m=1,
         residual=lambda x, xis: np.repeat(x[None, :] - 2.0, xis.shape[0], axis=0),
-        jacobian=lambda x, xis: (np.repeat(x[None, :] - 2.0, xis.shape[0], axis=0),
-                                 np.ones((xis.shape[0], 1, 1))),
+        jacobian=lambda x, xis, w: (np.repeat(x[None, :] - 2.0, xis.shape[0], axis=0),
+                                    w.sum() * np.ones((1, 1))),
         box_lo=np.array([-9.0]), box_hi=np.array([9.0]), x0=np.array([0.0]))
     bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
                     partition=Partition((1,)), schedule=make_schedule("uniform", 1))
