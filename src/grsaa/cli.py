@@ -1,5 +1,6 @@
-"""Experiment runner: single solves, L-sweeps, GRSAA-vs-standard comparisons
-and the coercivity diagnostic.
+"""Experiment runner: single solves, L-sweeps (with the cost ratio to the
+standard homotopy, L = 1, when it is among them) and the coercivity
+diagnostic.
 
 Configs are flat key=value text files; command-line flags override file
 values.  Every artifact directory receives the fully resolved config next to
@@ -107,20 +108,6 @@ def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
     return inst, hm
 
 
-def _summary(result, wall: float) -> dict:
-    return {
-        "status": result.status,
-        "x_star": result.x_star.tolist(),
-        "u_star": result.u_star.tolist(),
-        "t_star": result.t_star,
-        "saa_residual": result.saa_residual,
-        "final_residual": result.final_residual,
-        "counters": result.counters,
-        "path_points": len(result.path),
-        "wall_time_s": wall,
-    }
-
-
 def _write_artifacts(outdir: Path, cfg: RunConfig, summary: dict,
                      result=None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
@@ -136,8 +123,18 @@ def cmd_solve(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     result = trace(hm, _tracer_config(cfg))
     wall = time.perf_counter() - t0
-    summary = _summary(result, wall)
-    summary["config"] = asdict(cfg)
+    summary = {
+        "status": result.status,
+        "x_star": result.x_star.tolist(),
+        "u_star": result.u_star.tolist(),
+        "t_star": result.t_star,
+        "saa_residual": result.saa_residual,
+        "final_residual": result.final_residual,
+        "counters": result.counters,
+        "path_points": len(result.path),
+        "wall_time_s": wall,
+        "config": asdict(cfg),
+    }
     _write_artifacts(Path(cfg.out), cfg, summary, result)
     print(f"{result.status}: t*={result.t_star:.3g} "
           f"x*={np.array2string(result.x_star, precision=6)} "
@@ -168,47 +165,31 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
                      "max_sample_evals": int(np.max(evals)),
                      "mean_wall_time_s": float(np.mean(walls))})
     best = min(rows, key=lambda r: r["mean_sample_evals"])
+    # cost relative to the standard homotopy (L = 1) on the same samples
+    standard = next((r["mean_sample_evals"] for r in rows if r["L"] == 1), None)
+    if standard is not None:
+        for r in rows:
+            r["ratio_to_L1"] = r["mean_sample_evals"] / standard
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("L,mean_sample_evals,min_sample_evals,max_sample_evals,"
-                 "mean_wall_time_s,is_min\n")
+                 "mean_wall_time_s,"
+                 + ("ratio_to_L1," if standard is not None else "") + "is_min\n")
         for r in rows:
+            ratio = f"{r['ratio_to_L1']:.17g}," if standard is not None else ""
             fh.write(f"{r['L']},{r['mean_sample_evals']:.17g},"
                      f"{r['min_sample_evals']},{r['max_sample_evals']},"
-                     f"{r['mean_wall_time_s']:.6g},"
+                     f"{r['mean_wall_time_s']:.6g},{ratio}"
                      f"{int(r['L'] == best['L'])}\n")
     summary = {"rows": rows, "best_L": best["L"], "status": worst,
                "config": asdict(cfg)}
     _write_artifacts(outdir, cfg, summary)
     for r in rows:
+        ratio = f"  ratio_to_L1={r['ratio_to_L1']:.4f}" if standard is not None else ""
         mark = "  <- min" if r["L"] == best["L"] else ""
-        print(f"L={r['L']:>8d}  mean evals={r['mean_sample_evals']:.4g}{mark}")
+        print(f"L={r['L']:>8d}  mean evals={r['mean_sample_evals']:.4g}{ratio}{mark}")
     return EXIT_OK if worst == "converged" else EXIT_SOLVER
-
-
-def cmd_compare(cfg: RunConfig) -> int:
-    results = {}
-    walls = {}
-    for label, L in (("grsaa", cfg.L), ("standard", 1)):
-        inst, hm = build_run(cfg, L=L)
-        t0 = time.perf_counter()
-        results[label] = trace(hm, _tracer_config(cfg))
-        walls[label] = time.perf_counter() - t0
-    ev_g = results["grsaa"].counters["sample_evals"]
-    ev_s = results["standard"].counters["sample_evals"]
-    summary = {
-        "grsaa": _summary(results["grsaa"], walls["grsaa"]),
-        "standard": _summary(results["standard"], walls["standard"]),
-        "sample_evals_ratio": ev_g / ev_s,
-        "wall_time_ratio": walls["grsaa"] / walls["standard"],
-        "config": asdict(cfg),
-    }
-    _write_artifacts(Path(cfg.out), cfg, summary)
-    print(f"grsaa evals={ev_g}  standard evals={ev_s}  "
-          f"ratio={ev_g / ev_s:.4f}")
-    ok = all(r.status == "converged" for r in results.values())
-    return EXIT_OK if ok else EXIT_SOLVER
 
 
 def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
@@ -256,7 +237,7 @@ def main(argv=None) -> int:
         prog="grsaa",
         description="GRSAA differentiable-homotopy solver and experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep-l", "compare", "diagnose-coercivity"):
+    for name in ("solve", "sweep-l", "diagnose-coercivity"):
         _add_common(sub.add_parser(name))
     args = parser.parse_args(argv)
     try:
@@ -265,7 +246,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     handler = {"solve": cmd_solve, "sweep-l": cmd_sweep_l,
-               "compare": cmd_compare,
                "diagnose-coercivity": cmd_diagnose_coercivity}[args.command]
     try:
         return handler(cfg)

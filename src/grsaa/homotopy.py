@@ -161,29 +161,26 @@ class HomotopyMap:
         """The unique solution at t = 1: x0, with the y that solves block 2."""
         return np.concatenate([self.x0, solve_start_y(self.B, self.b, self.x0, KAPPA0)])
 
-    def evaluate(self, u: np.ndarray, t: float, jac: bool = True):
+    def evaluate(self, u: np.ndarray, t: float):
         """(h(u, t), J) from one pass of the blended map.
 
         J is the dim x (dim + 1) Jacobian in (u, t), the last column being
-        the t-derivative, or None without jac.
+        the t-derivative.
         """
         u = np.asarray(u, dtype=float)
         n, M = self.n, self.M
         x, y = u[:n], u[n:]
-        d, dd_dt, dd_dx = self.blended.evaluate(x, t, jac)
+        d, dd_dt, dd_dx = self.blended.evaluate(x, t)
         # the operator F and its partials; the constraint terms only for M > 0
         F, dF_dt, dF_dx = d, dd_dt, dd_dx
         if M:
             tr = transform_derivs(y, t, KAPPA0)
             F = -d + self.B.T @ tr["neg"]
-            if jac:
-                dF_dt = -dd_dt + self.B.T @ tr["dneg_dt"]
-                dF_dx = -dd_dx
+            dF_dt = -dd_dt + self.B.T @ tr["dneg_dt"]
+            dF_dx = -dd_dx
         h = (1.0 - t) * F + t * (x - self.x0) - t * (1.0 - t) * self.alpha
         if M:
             h = np.concatenate([h, self.B @ x + tr["pos"] - self.b])
-        if not jac:
-            return h, None
         J = np.empty((n + M, n + M + 1))  # every block is assigned below
         # block 1 rows
         J[:n, :n] = (1.0 - t) * dF_dx + t * np.eye(n)

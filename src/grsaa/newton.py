@@ -1,5 +1,6 @@
-"""Damped Newton for square systems; shared by the terminal polish and the
-analytic-expectation oracles."""
+"""Damped Newton for square systems; it serves the analytic-expectation
+oracles (problems.oracle_solve), the independent reference the traced answers
+are checked against.  The tracer lands with its own corrector."""
 
 from __future__ import annotations
 

@@ -8,11 +8,11 @@ Because the first q_{l-1} samples are a prefix of the first q_l, one pass
 over q_l samples yields both averages, hence d and its t-derivative; an
 evaluation at (x, t) therefore costs exactly q_l single-sample residual
 evaluations, which is the machine-independent efficiency metric used
-throughout.  When dd/dx is requested, that one pass is the system's fused
-`jacobian` kernel.  dd/dx = (1 - theta) J^{l-1} + theta J^l is one weighted
-sum sum_k w_k J_k of the per-sample Jacobians, so the kernel takes the
-weights w and returns the residual rows with that (n, n) sum; the pass
-still counts q_l per-sample Jacobians.
+throughout.  That one pass is the system's fused `jacobian` kernel, since
+every evaluation also needs dd/dx = (1 - theta) J^{l-1} + theta J^l.  It is
+one weighted sum sum_k w_k J_k of the per-sample Jacobians, so the kernel
+takes the weights w and returns the residual rows with that (n, n) sum; the
+pass still counts q_l per-sample Jacobians.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ COERCIVITY_MAX_POINTS = 10 ** 5
 #   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise
 #   jacobian(x, xis, w) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k) for
 #       weights w (q,); one fused pass whose F must equal residual(x, xis)
-#       bit for bit, because the corrector reads F from here and the landing
-#       Newton from residual
+#       bit for bit, because the tracer reads F from here while the reported
+#       saa_residual and the market check read residual
 ResidualFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 JacobianFn = Callable[[np.ndarray, np.ndarray, np.ndarray],
                       tuple[np.ndarray, np.ndarray]]
@@ -130,14 +130,14 @@ class BlendedMap:
 
     # -- blended map and derivatives --------------------------------------
 
-    def evaluate(self, x: np.ndarray, t: float, jac: bool = True):
+    def evaluate(self, x: np.ndarray, t: float):
         """(d, dd/dt, dd/dx) at (x, t) on the segment containing t.
 
-        One kernel pass over the first q_l samples gives d and
-        dd/dt = theta_l'(t) (f^l - f^{l-1}), which is exactly zero at nodes;
-        with jac the same pass (the system's fused `jacobian`) also gives
-        dd/dx = sum_k w_k J_k, where w_k = theta/q_l on every row plus
-        (1 - theta)/q_{l-1} on the first q_{l-1}; otherwise dd/dx is None.
+        One pass of the system's fused `jacobian` kernel over the first q_l
+        samples gives d, dd/dt = theta_l'(t) (f^l - f^{l-1}), which is
+        exactly zero at nodes, and dd/dx = sum_k w_k J_k, where
+        w_k = theta/q_l on every row plus (1 - theta)/q_{l-1} on the first
+        q_{l-1}.
         """
         x = np.asarray(x, dtype=float)
         ell = segment_of(t, self.schedule)
@@ -145,11 +145,9 @@ class BlendedMap:
         thp = theta_prime(ell, t, self.schedule)
         q_hi = self.partition.q[ell - 1]
         q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
-        w = None
-        if jac:
-            w = np.full(q_hi, th / q_hi)
-            if q_lo > 0:
-                w[:q_lo] += (1.0 - th) / q_lo
+        w = np.full(q_hi, th / q_hi)
+        if q_lo > 0:
+            w[:q_lo] += (1.0 - th) / q_lo
         vals, dd_dx = self._residual_block(x, q_hi, w)
         f_lo, f_hi = _head_and_mean(vals, q_lo)
         d = (1.0 - th) * f_lo + th * f_hi

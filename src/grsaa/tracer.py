@@ -4,11 +4,12 @@ homotopy map, from the known solution at t = 1 down to t = 0.
 The kernel is the classic one: unit tangent from the full (u, t)-Jacobian,
 first-order Euler predictor, Newton corrector on the system augmented with
 the tangent hyperplane, multiplicative step-length adaptation.  The trace
-lands by a fixed-t Newton solve at the map's terminal level: without
-constraints at t = 0, where the map coincides with the full-sample SAA and
-is polished to _POLISH_TOL; with constraints at a small positive t_end,
-because the complementarity transform loses differentiability at t = 0 on
-the active set.
+lands with the same corrector, bordered with the row e_t = (0, ..., 0, 1),
+which pins t at the map's terminal level (Allgower & Georg, Introduction to
+Numerical Continuation Methods, ch. 3): without constraints at t = 0, where
+the map coincides with the full-sample SAA and is polished to _POLISH_TOL;
+with constraints at a small positive t_end, because the complementarity
+transform loses differentiability at t = 0 on the active set.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homotopy import HomotopyMap
-from .newton import NewtonFailure, damped_newton
 
 __all__ = ["TraceConfig", "PathPoint", "TraceResult", "SingularJacobianError",
            "tangent", "correct", "trace", "path_to_csv"]
@@ -99,54 +99,49 @@ def tangent(J: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
 
 
 def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
-            tau: np.ndarray, cfg: TraceConfig):
-    """Newton iteration on {h = 0, tau . (v - v_pred) = 0}.
+            tau: np.ndarray, cfg: TraceConfig, tol: float | None = None):
+    """Newton iteration on {h = 0, tau . (v - v_pred) = 0} to ||h||_inf <= tol
+    (default cfg.corrector_tol).
 
     Returns (u, t, iterations, residual, J) on success, J being the full
     (u, t)-Jacobian at the accepted point, or None on rejection (non-
     convergence, a non-finite residual, or near-singular linear algebra).
     t is clamped to [0, 1] throughout; excursions beyond are overshoot.
+    With tau = e_t, which fixes t (the landing), a step that does not lower
+    ||h||_inf or leads to a non-finite residual is halved back from the last
+    iterate; every evaluation counts against cfg.max_corrector_iters.
     """
+    tol = cfg.corrector_tol if tol is None else tol
     d = hm.dim
+    # only the landing row e_t; the first tangent of a plain map is -e_t
+    fixed_t = tau[d] == 1.0 and not np.any(tau[:d])
     anchor = np.concatenate([u_pred, [min(max(t_pred, 0.0), 1.0)]])
     v = anchor.copy()
+    base, base_res, step = v, np.inf, None  # the iterate a step is halved back to
     for it in range(cfg.max_corrector_iters + 1):
         try:
             r, J = hm.evaluate(v[:d], v[d])
+            res = float(np.linalg.norm(r, np.inf))
         except FloatingPointError:
-            return None
-        res = float(np.linalg.norm(r, np.inf))
-        if res <= cfg.corrector_tol:
+            res = np.nan
+        if res <= tol:
             return v[:d], float(v[d]), it, res, J
         if it == cfg.max_corrector_iters:
+            return None
+        if fixed_t and step is not None and not res < base_res:
+            step = step / 2
+            v = base + step
+            continue
+        if not np.isfinite(res):
             return None
         A = np.vstack([J, tau])
         if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _COND_LIMIT:
             return None
         rhs = np.concatenate([r, [tau @ (v - anchor)]])
-        v = v + np.linalg.solve(A, -rhs)
+        step = np.linalg.solve(A, -rhs)
+        base, base_res = v, res
+        v = v + step
         v[d] = min(max(v[d], 0.0), 1.0)
-
-
-def _solve_at_t(hm: HomotopyMap, u: np.ndarray, t: float,
-                tol: float) -> tuple[np.ndarray, float]:
-    """Fixed-t Newton solve of h(u, t) = 0 (the endgame); returns the root
-    and the sup norm of its residual, the last one Newton evaluated.  A
-    trial with a non-finite residual reads as NaN, so the line search halves
-    the step instead of aborting."""
-    d = hm.dim
-    last = None
-
-    def F(z):
-        nonlocal last
-        try:
-            last = hm.evaluate(z, t, jac=False)[0]
-        except FloatingPointError:
-            return np.full(d, np.nan)
-        return last
-
-    u_t = damped_newton(F, lambda z: hm.evaluate(z, t)[1][:, :d], u, tol=tol)
-    return u_t, float(np.linalg.norm(last, np.inf))
 
 
 def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
@@ -183,14 +178,17 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
                            saa_residual=saa, final_residual=final_res,
                            path=path, counters=counters, n=n)
 
+    e_t = np.zeros(d + 1)
+    e_t[d] = 1.0
+
     def terminal(u_from):
-        """Endgame at the terminal level; None if the solve does not land."""
-        try:
-            u_t, res = _solve_at_t(hm, u_from, t_end, land_tol)
-        except NewtonFailure:
+        """Landing at the terminal level; None if the corrector does not land."""
+        hit = correct(hm, u_from, t_end, e_t, cfg, land_tol)
+        if hit is None:
             return None
+        u_t, _, iters, res, _ = hit
         path.append(PathPoint(u=u_t.copy(), t=t_end, step_len=0.0,
-                              corrector_iters=0, residual=res,
+                              corrector_iters=iters, residual=res,
                               cum_sample_evals=bm.eval_counter - evals0))
         return finish("converged", u_t, t_end, res)
 

@@ -24,7 +24,7 @@ def run_trace(problem, n, N, L, seed, schedule="uniform"):
 
 
 def value(hm, u, t):
-    return hm.evaluate(u, t, jac=False)[0]
+    return hm.evaluate(u, t)[0]
 
 
 def test_criterion_1_market_equilibrium_reproduction():
@@ -116,8 +116,8 @@ def test_criterion_6_invariant_suite():
         for ell in range(1, L):
             node = bm.schedule.nodes[ell]
             for t in (node - 1e-8, node + 1e-8):
-                assert np.linalg.norm(bm.evaluate(x, t, jac=False)[1], np.inf) <= 1e-6
-            assert np.array_equal(bm.evaluate(x, node, jac=False)[1], np.zeros(n))
+                assert np.linalg.norm(bm.evaluate(x, t)[1], np.inf) <= 1e-6
+            assert np.array_equal(bm.evaluate(x, node)[1], np.zeros(n))
 
     # homotopy Jacobians against finite differences at relative 1e-5
     for problem, n in (("sin", 3), ("svi", 2)):

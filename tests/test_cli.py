@@ -115,13 +115,17 @@ def test_alpha_bends_the_constrained_path(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_compare_degenerate_ratio_is_one(tmp_path, capsys):
-    out = tmp_path / "cmp"
-    code = run(["compare", "--problem", "sin", "--n", "2", "--N", "200",
-                "--L", "1", "--seed", "3", "--out", str(out)])
+def test_sweep_degenerate_ratio_to_l1_is_one(tmp_path, capsys):
+    # L = 1 against itself on the same samples: the ratio column reads 1
+    out = tmp_path / "sweep"
+    code = run(["sweep-l", "--problem", "sin", "--n", "2", "--N", "200",
+                "--L-values", "1,1", "--seed", "3", "--out", str(out)])
     assert code == EXIT_OK
+    lines = (out / "sweep.csv").read_text().splitlines()
+    col = lines[0].split(",").index("ratio_to_L1")
+    assert [float(l.split(",")[col]) for l in lines[1:]] == [1.0, 1.0]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["sample_evals_ratio"] == pytest.approx(1.0)
+    assert [r["ratio_to_L1"] for r in summary["rows"]] == [1.0, 1.0]
     capsys.readouterr()
 
 
@@ -133,6 +137,7 @@ def test_sweep_l_artifacts(tmp_path, capsys):
     assert code == EXIT_OK
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("L,mean_sample_evals")
+    assert "ratio_to_L1" in lines[0]  # L = 1 is among the swept values
     assert len(lines) == 4
     assert sum(int(l.split(",")[-1]) for l in lines[1:]) == 1  # one minimum
     summary = json.loads((out / "summary.json").read_text())

@@ -29,7 +29,7 @@ def kkt_map(problem="svi", n=2, N=120, L=4, seed=0, alpha=None):
 
 
 def value(hm, u, t):
-    return hm.evaluate(u, t, jac=False)[0]
+    return hm.evaluate(u, t)[0]
 
 
 # -- plain map ---------------------------------------------------------------
@@ -88,8 +88,6 @@ def test_evaluate_is_one_pass_per_point():
         evals, jacs = bm.eval_counter, bm.jac_counter
         hm.evaluate(u, t)
         assert (bm.eval_counter - evals, bm.jac_counter - jacs) == (q, q)
-        hm.evaluate(u, t, jac=False)
-        assert (bm.eval_counter - evals, bm.jac_counter - jacs) == (2 * q, q)
 
 
 def test_jac_plain_matches_finite_differences():

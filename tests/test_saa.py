@@ -7,7 +7,7 @@ import pytest
 from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
 from grsaa.saa import (COERCIVITY_MAX_POINTS, BlendedMap, StochasticSystem,
                        check_coercivity)
-from grsaa.schedule import make_schedule, segment_of, theta
+from grsaa.schedule import make_schedule, segment_of, theta, theta_prime
 from grsaa import problems as P
 
 
@@ -46,10 +46,10 @@ def test_group_averages_by_hand():
 def test_blend_endpoints():
     bm = sin_map()
     x = np.array([0.3, -0.1, 0.2])
-    assert np.array_equal(bm.evaluate(x, 1.0, jac=False)[0], np.zeros(3))
+    assert np.array_equal(bm.evaluate(x, 1.0)[0], np.zeros(3))
     # at t = 0 the blend is the full-sample SAA map
     full = bm.system.residual(x, bm.samples.samples).mean(axis=0)
-    assert np.allclose(bm.evaluate(x, 0.0, jac=False)[0], full, rtol=0, atol=1e-15)
+    assert np.allclose(bm.evaluate(x, 0.0)[0], full, rtol=0, atol=1e-15)
 
 
 def test_blend_hits_group_average_at_nodes():
@@ -57,7 +57,7 @@ def test_blend_hits_group_average_at_nodes():
     x = np.array([0.5, 0.1, -0.3])
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
-        d = bm.evaluate(x, t_node, jac=False)[0]
+        d = bm.evaluate(x, t_node)[0]
         assert np.array_equal(d, bm.sample_average(ell, x))
 
 
@@ -68,7 +68,7 @@ def test_blend_values_agree_across_adjacent_segments():
     from grsaa.schedule import theta
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
-        lower = bm.evaluate(x, t_node, jac=False)[0]  # segment ell, theta = 1
+        lower = bm.evaluate(x, t_node)[0]  # segment ell, theta = 1
         th = theta(ell + 1, t_node, bm.schedule)  # upper segment, theta = 0
         upper = (1.0 - th) * bm.sample_average(ell, x) \
             + th * bm.sample_average(ell + 1, x)
@@ -81,7 +81,7 @@ def test_eval_counter_counts_active_group():
     for t, expect in ((0.9, bm.partition.q[0]), (0.6, bm.partition.q[1]),
                       (0.0, bm.partition.q[3])):
         before = bm.eval_counter
-        bm.evaluate(x, t, jac=False)
+        bm.evaluate(x, t)
         assert bm.eval_counter - before == expect
 
 
@@ -95,14 +95,14 @@ def test_c1_join_derivative_vanishes_at_nodes():
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
         for t in (t_node - eps, t_node + eps):
-            assert np.linalg.norm(bm.evaluate(x, t, jac=False)[1], np.inf) <= 1e-6
+            assert np.linalg.norm(bm.evaluate(x, t)[1], np.inf) <= 1e-6
 
 
 def test_deriv_t_exactly_zero_at_nodes():
     bm = sin_map()
     x = np.array([0.7, -0.5, 0.2])
     for ell in range(1, bm.L):
-        assert np.array_equal(bm.evaluate(x, bm.schedule.nodes[ell], jac=False)[1],
+        assert np.array_equal(bm.evaluate(x, bm.schedule.nodes[ell])[1],
                               np.zeros(3))
 
 
@@ -118,8 +118,8 @@ def test_blend_jac_x_matches_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = (bm.evaluate(xp, t, jac=False)[0]
-                  - bm.evaluate(xm, t, jac=False)[0]) / (2 * h)
+            fd = (bm.evaluate(xp, t)[0]
+                  - bm.evaluate(xm, t)[0]) / (2 * h)
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-7)
 
 
@@ -133,10 +133,10 @@ def test_blend_deriv_t_matches_finite_differences():
         t = rng.uniform(0.01, 0.99)
         if np.min(np.abs(nodes - t)) < 1e-3:
             continue
-        ana = bm.evaluate(x, t, jac=False)[1]
+        ana = bm.evaluate(x, t)[1]
         h = 1e-7
-        fd = (bm.evaluate(x, t + h, jac=False)[0]
-              - bm.evaluate(x, t - h, jac=False)[0]) / (2 * h)
+        fd = (bm.evaluate(x, t + h)[0]
+              - bm.evaluate(x, t - h)[0]) / (2 * h)
         assert np.allclose(ana, fd, rtol=1e-5, atol=1e-6)
         checked += 1
 
@@ -181,7 +181,7 @@ def test_nonfinite_residual_reports_sample_index():
                     partition=Partition((6,)),
                     schedule=make_schedule("uniform", 1))
     with pytest.raises(FloatingPointError, match="sample index 3"):
-        bm.evaluate(np.zeros(1), 0.5, jac=False)
+        bm.sample_average(1, np.zeros(1))
     # the fused (F, J) pass checks F the same way and counts nothing
     bm.system = dataclasses.replace(
         sys_, jacobian=lambda x, xis, w: (bad(x, xis), np.zeros((1, 1))))
@@ -209,16 +209,23 @@ def points(bm, rng):
 
 
 def test_evaluate_paths_agree_bit_for_bit():
-    # the corrector evaluates with jac, the landing Newton without
+    # the tracer reads the fused pass, saa_residual and the market check the
+    # residual kernel through sample_average: the blend must not tell them apart
     rng = np.random.default_rng(11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for bm in problem_maps():
             for x, t in points(bm, rng):
                 d, dd_dt, J = bm.evaluate(x, t)
-                d2, dd_dt2, none = bm.evaluate(x, t, jac=False)
-                assert none is None and J.shape == (bm.system.n,) * 2
-                assert np.array_equal(d, d2) and np.array_equal(dd_dt, dd_dt2)
+                ell = segment_of(t, bm.schedule)
+                th = theta(ell, t, bm.schedule)
+                thp = theta_prime(ell, t, bm.schedule)
+                f_lo = bm.sample_average(ell - 1, x)
+                f_hi = bm.sample_average(ell, x)
+                assert J.shape == (bm.system.n,) * 2
+                assert np.array_equal(d, (1.0 - th) * f_lo + th * f_hi)
+                if thp != 0.0:
+                    assert np.array_equal(dd_dt, thp * (f_hi - f_lo))
 
 
 def test_evaluate_makes_one_kernel_call():
@@ -241,7 +248,7 @@ def test_evaluate_makes_one_kernel_call():
                 calls.update(residual=0, jacobian=0)
                 bm.evaluate(x, t)
                 assert calls == {"residual": 0, "jacobian": 1}
-                bm.evaluate(x, t, jac=False)
+                bm.sample_average(bm.L, x)
                 assert calls == {"residual": 1, "jacobian": 1}
 
 

@@ -90,6 +90,30 @@ def test_corrector_rejects_hopeless_start():
     assert out is None
 
 
+class ArctanMap:
+    """h(x, t) = arctan(x - 1), the same for every t: undamped Newton from
+    x = 3 overshoots further on every step."""
+
+    dim = 1
+
+    def evaluate(self, u, t):
+        z = u[0] - 1.0
+        return np.arctan(np.array([z])), np.array([[1.0 / (1.0 + z * z), 0.0]])
+
+
+def test_landing_row_halves_steps_where_newton_diverges():
+    cfg = TraceConfig()
+    out = correct(ArctanMap(), np.array([3.0]), 0.0, np.array([0.0, 1.0]),
+                  cfg, 1e-12)
+    assert out is not None
+    u, t, iters, res, _ = out
+    assert u[0] == pytest.approx(1.0, abs=1e-12) and t == 0.0
+    assert res <= 1e-12 and iters <= cfg.max_corrector_iters
+    # on a path tangent the corrector stays undamped, and the start is rejected
+    tau = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    assert correct(ArctanMap(), np.array([3.0]), 0.5, tau, cfg, 1e-12) is None
+
+
 def test_trace_linear_homotopy_full_path():
     result = trace(linear_hm(), TraceConfig(h_max=0.05))
     assert result.status == "converged"
@@ -134,6 +158,8 @@ def test_counters_are_consistent():
     assert c["sample_evals"] == result.path[-1].cum_sample_evals
     assert c["corrector_iters_total"] >= c["predictor_steps"]
     assert c["sample_evals"] > 0
+    # every pass, the landing's included, is one fused (F, J) evaluation
+    assert c["sample_evals"] == c["jac_evals"]
 
 
 def test_trace_is_bit_reproducible():
@@ -188,6 +214,8 @@ def test_path_csv_schema(tmp_path):
     assert len(lines) == 1 + len(result.path)
     last = lines[-1].split(",")
     assert float(last[1]) == result.t_star
+    # the terminal row carries the landing's Newton iterations
+    assert int(last[5]) == result.path[-1].corrector_iters > 0
 
 
 def test_config_validation():
