@@ -7,7 +7,8 @@ values.  Every artifact directory receives the fully resolved config next to
 the outputs, so a run can be replayed bit-identically (wall-time fields
 aside).
 
-Exit codes: 0 converged, 2 solver failure, 3 config error.
+Exit codes: 0 converged, 2 solver failure, 3 config error (unknown flags
+and ill-typed flag values included).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import problems
 from .saa import check_coercivity
 from .sampling import draw_samples, partition_linear, partition_uniform
 from .schedule import make_schedule
-from .tracer import TraceConfig, path_to_csv, trace
+from .tracer import path_to_csv, trace
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -45,14 +46,6 @@ class RunConfig:
     sched_seed: int = 1
     seed: int = 1
     alpha: str = ""  # comma-separated floats; empty means zero
-    h0: float = 1e-2
-    h_min: float = 1e-10
-    h_max: float = 0.2
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 10
-    grow: float = 1.5
-    shrink: float = 0.5
-    max_steps: int = 10 ** 6
     reps: int = 1
     L_values: str = ""  # comma-separated, sweep-l only
     out: str = "out"
@@ -75,10 +68,6 @@ class RunConfig:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
             setattr(cfg, key, casts[key](val))
         return cfg
-
-
-def _tracer_config(cfg: RunConfig) -> TraceConfig:
-    return TraceConfig(**{f.name: getattr(cfg, f.name) for f in fields(TraceConfig)})
 
 
 def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
@@ -121,7 +110,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
     cfg = replace(cfg, N=hm.blended.samples.N)  # tau1 * L under partition=linear
     t0 = time.perf_counter()
-    result = trace(hm, _tracer_config(cfg))
+    result = trace(hm)
     wall = time.perf_counter() - t0
     summary = {
         "status": result.status,
@@ -146,6 +135,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_sweep_l(cfg: RunConfig) -> int:
     if not cfg.L_values:
         raise ValueError("sweep-l requires L_values (comma-separated)")
+    if cfg.reps < 1:
+        raise ValueError(f"sweep-l needs reps >= 1, got {cfg.reps}")
     L_list = [int(v) for v in cfg.L_values.split(",")]
     rows = []
     worst = "converged"
@@ -154,7 +145,7 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
         for rep in range(cfg.reps):
             inst, hm = build_run(cfg, L=L, seed=cfg.seed + rep)
             t0 = time.perf_counter()
-            result = trace(hm, _tracer_config(cfg))
+            result = trace(hm)
             walls.append(time.perf_counter() - t0)
             evals.append(result.counters["sample_evals"])
             if result.status != "converged":
@@ -239,7 +230,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "sweep-l", "diagnose-coercivity"):
         _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = _resolve(args)
     except (ValueError, OSError) as exc:

@@ -25,6 +25,11 @@ __all__ = ["TraceConfig", "PathPoint", "TraceResult", "SingularJacobianError",
 
 _COND_LIMIT = 1e12
 _POLISH_TOL = 1e-12
+# step control; TraceConfig keeps only the settings that tests vary
+_CORRECTOR_TOL = 1e-10
+_H_MIN = 1e-10
+_GROW = 1.5
+_SHRINK = 0.5
 
 
 class SingularJacobianError(RuntimeError):
@@ -34,19 +39,13 @@ class SingularJacobianError(RuntimeError):
 @dataclass
 class TraceConfig:
     h0: float = 1e-2
-    h_min: float = 1e-10
     h_max: float = 0.2
-    corrector_tol: float = 1e-10
     max_corrector_iters: int = 10
-    grow: float = 1.5
-    shrink: float = 0.5
     max_steps: int = 10 ** 6
 
     def __post_init__(self):
-        if not (0 < self.h_min <= self.h0 <= self.h_max):
-            raise ValueError("need 0 < h_min <= h0 <= h_max")
-        if not (0 < self.shrink < 1 < self.grow):
-            raise ValueError("need 0 < shrink < 1 < grow")
+        if not (_H_MIN <= self.h0 <= self.h_max):
+            raise ValueError(f"need {_H_MIN:g} <= h0 <= h_max")
 
 
 @dataclass
@@ -101,7 +100,7 @@ def tangent(J: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
 def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
             tau: np.ndarray, cfg: TraceConfig, tol: float | None = None):
     """Newton iteration on {h = 0, tau . (v - v_pred) = 0} to ||h||_inf <= tol
-    (default cfg.corrector_tol).
+    (default _CORRECTOR_TOL).
 
     Returns (u, t, iterations, residual, J) on success, J being the full
     (u, t)-Jacobian at the accepted point, or None on rejection (non-
@@ -111,7 +110,7 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
     ||h||_inf or leads to a non-finite residual is halved back from the last
     iterate; every evaluation counts against cfg.max_corrector_iters.
     """
-    tol = cfg.corrector_tol if tol is None else tol
+    tol = _CORRECTOR_TOL if tol is None else tol
     d = hm.dim
     # only the landing row e_t; the first tangent of a plain map is -e_t
     fixed_t = tau[d] == 1.0 and not np.any(tau[:d])
@@ -149,7 +148,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     cfg = cfg or TraceConfig()
     t_end = hm.t_end
     # the plain map meets the full-sample SAA at t = 0 and is polished there
-    land_tol = _POLISH_TOL if hm.M == 0 else cfg.corrector_tol
+    land_tol = _POLISH_TOL if hm.M == 0 else _CORRECTOR_TOL
     d = hm.dim
     n = hm.n
     bm = hm.blended
@@ -206,8 +205,8 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         else:
             hit = correct(hm, u + h * tau[:d], t_pred, tau, cfg)
         if hit is None:  # the landing or the corrector failed: shrink, retry
-            h *= cfg.shrink
-            if h < cfg.h_min:
+            h *= _SHRINK
+            if h < _H_MIN:
                 return finish("stalled", u, t, res0)
             counters["rejected_steps"] += 1
             continue
@@ -225,7 +224,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             if result is not None:
                 return result
         if iters <= 3:
-            h = min(cfg.grow * h, cfg.h_max)
+            h = min(_GROW * h, cfg.h_max)
     return finish("max_steps", u, t, res0)
 
 

@@ -40,6 +40,17 @@ def test_solve_is_bit_reproducible(tmp_path):
     assert pa == pb
 
 
+def test_config_resolved_replays_the_run(tmp_path, capsys):
+    # every key written to config.resolved loads back with the same meaning
+    assert run(solve_args(tmp_path)) == EXIT_OK
+    first = tmp_path / "run"
+    again = tmp_path / "replay"
+    assert run(["solve", "--config", str(first / "config.resolved"),
+                "--out", str(again)]) == EXIT_OK
+    assert (first / "path.csv").read_bytes() == (again / "path.csv").read_bytes()
+    capsys.readouterr()
+
+
 def test_config_file_roundtrip_and_override(tmp_path):
     cfg = RunConfig(problem="svi", n=2, N=500, L=10, seed=42)
     path = tmp_path / "run.cfg"
@@ -63,13 +74,30 @@ def test_experiment_configs_load_and_build():
 
 
 def test_invalid_config_key_is_exit_3(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("problme=sin\n")
-    out = tmp_path / "out"
-    code = run(["solve", "--config", str(bad), "--out", str(out)])
+    # a misspelt key, and a step-control key that older runs wrote
+    for i, line in enumerate(("problme=sin\n", "h0=0.01\n")):
+        bad = tmp_path / f"bad{i}.cfg"
+        bad.write_text(line)
+        out = tmp_path / f"out{i}"
+        code = run(["solve", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()  # no artifacts on config failure
+        assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--bogus", "1"], ["--N", "abc"],
+                                   ["--h0", "0.5"]],
+                         ids=["unknown-flag", "ill-typed", "removed-flag"])
+def test_bad_flag_is_exit_3(tmp_path, capsys, extra):
+    code = run(solve_args(tmp_path, extra))
     assert code == EXIT_CONFIG
-    assert not out.exists()  # no artifacts on config failure
-    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    capsys.readouterr()
+
+
+def test_help_exits_zero(capsys):
+    assert run(["solve", "--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
 
 
 def test_invalid_l_is_exit_3(tmp_path, capsys):
@@ -166,6 +194,16 @@ def test_sweep_l_requires_l_values(tmp_path, capsys):
     code = run(["sweep-l", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_sweep_l_without_repetitions_is_exit_3(tmp_path, capsys, reps):
+    out = tmp_path / "o"
+    code = run(["sweep-l", "--problem", "sin", "--n", "2", "--N", "100",
+                "--L-values", "1,2", "--reps", reps, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "reps" in capsys.readouterr().err
 
 
 def test_diagnose_coercivity(tmp_path, capsys):

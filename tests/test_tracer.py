@@ -8,6 +8,7 @@ from grsaa.schedule import make_schedule
 from grsaa.tracer import (SingularJacobianError, TraceConfig, correct,
                           path_to_csv, tangent, trace)
 from grsaa import problems as P
+from grsaa import tracer
 
 
 def make_hm(problem="sin", n=3, N=1500, L=4, seed=0, schedule="uniform"):
@@ -73,7 +74,7 @@ def test_corrector_lands_on_known_root():
     t = 0.4
     tau = np.array([0.0, 1.0])  # fixes t, so the corrector moves x only
     out = correct(hm, np.array([linear_root(t) + 0.05]), t, tau,
-                  TraceConfig(corrector_tol=1e-13))
+                  TraceConfig(), 1e-13)
     assert out is not None
     u, t_out, iters, res, _ = out
     assert t_out == t
@@ -141,9 +142,8 @@ def test_trace_starts_exactly_at_the_known_root():
 
 
 def test_path_residuals_within_tolerance():
-    cfg = TraceConfig(corrector_tol=1e-10)
-    result = trace(make_hm(), cfg)
-    assert all(p.residual <= cfg.corrector_tol for p in result.path)
+    result = trace(make_hm())
+    assert all(p.residual <= tracer._CORRECTOR_TOL for p in result.path)
     ts = [p.t for p in result.path]
     assert ts[0] == 1.0 and min(ts) >= 0.0
 
@@ -221,5 +221,3 @@ def test_path_csv_schema(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         TraceConfig(h0=1.0, h_max=0.5)
-    with pytest.raises(ValueError):
-        TraceConfig(grow=0.9)
