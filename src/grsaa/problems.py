@@ -322,6 +322,8 @@ def oracle_solve(inst: ProblemInstance, start: np.ndarray,
 
 
 def get_instance(name: str, n: int = 3) -> ProblemInstance:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if name == "market":
         if n != 3:
             raise ValueError(f"the market problem has n = 3 goods, got n={n}")

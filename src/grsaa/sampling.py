@@ -106,20 +106,14 @@ def draw_samples(distribution: UniformBox, N: int, seed: int) -> SampleSet:
 
 
 def partition_uniform(N: int, L: int) -> Partition:
-    """Equal-size cumulative partition: q_l = round(l*N/L), repaired to be
-    strictly increasing with q_L = N."""
+    """Equal-size cumulative partition: q_l = round(l*N/L), pinned to q_L = N.
+
+    For 1 <= L <= N consecutive values differ by N/L >= 1, so they strictly
+    increase from q_1 >= 1, and q_{L-1} = round(N - N/L) <= N - 1."""
     if L <= 0 or L > N:
         raise ValueError(f"need 1 <= L <= N, got L={L}, N={N}")
     q = [int(round(ell * N / L)) for ell in range(1, L + 1)]
     q[-1] = N
-    # forward repair: strict ascent from below
-    for i in range(1, L):
-        if q[i] <= q[i - 1]:
-            q[i] = q[i - 1] + 1
-    # backward repair: keep room below N
-    for i in range(L - 2, -1, -1):
-        if q[i] >= q[i + 1]:
-            q[i] = q[i + 1] - 1
     return Partition(tuple(q))
 
 

@@ -1,15 +1,19 @@
 """Adaptive predictor-corrector continuation along the zero set of a
 homotopy map, from the known solution at t = 1 down to t = 0.
 
-The kernel is the classic one: unit tangent from the full (u, t)-Jacobian,
-first-order Euler predictor, Newton corrector on the system augmented with
-the tangent hyperplane, multiplicative step-length adaptation.  The trace
-lands with the same corrector, bordered with the row e_t = (0, ..., 0, 1),
-which pins t at the map's terminal level (Allgower & Georg, Introduction to
-Numerical Continuation Methods, ch. 3): without constraints at t = 0, where
-the map coincides with the full-sample SAA and is polished to _POLISH_TOL;
-with constraints at a small positive t_end, because the complementarity
-transform loses differentiability at t = 0 on the active set.
+The kernel is the classic one (Allgower & Georg, Introduction to Numerical
+Continuation Methods, ch. 3-4): unit tangent, first-order Euler predictor,
+Newton corrector, multiplicative step-length adaptation.  All of its linear
+algebra is one bordered solve with [J; row], J the full (u, t)-Jacobian:
+- the tangent borders with the previous tangent (with e_t = (0, ..., 0, 1)
+  on the first step) and solves for the right-hand side e_{d+1};
+- the corrector borders with the current tangent, which keeps the iterate
+  on the hyperplane through the predicted point;
+- the landing borders with e_t, which pins t at the map's terminal level:
+  without constraints at t = 0, where the map coincides with the
+  full-sample SAA and is polished to _POLISH_TOL; with constraints at a small
+  positive t_end, because the complementarity transform loses
+  differentiability at t = 0 on the active set.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import numpy as np
 
 from .homotopy import HomotopyMap
 
-__all__ = ["TraceConfig", "PathPoint", "TraceResult", "SingularJacobianError",
-           "tangent", "correct", "trace", "path_to_csv"]
+__all__ = ["TraceConfig", "PathPoint", "TraceResult", "tangent", "correct",
+           "trace", "path_to_csv"]
 
 _COND_LIMIT = 1e12
 _POLISH_TOL = 1e-12
@@ -30,10 +34,6 @@ _CORRECTOR_TOL = 1e-10
 _H_MIN = 1e-10
 _GROW = 1.5
 _SHRINK = 0.5
-
-
-class SingularJacobianError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -74,27 +74,32 @@ class TraceResult:
         return self.u_star[: self.n]
 
 
-def tangent(J: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-    """Unit kernel vector of the d x (d+1) Jacobian.
+def _bordered_solve(J: np.ndarray, row: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray | None:
+    """Solution z of [J; row] z = rhs, or None when the bordered matrix is
+    not finite or its 2-norm condition number exceeds _COND_LIMIT."""
+    A = np.vstack([J, row])
+    if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _COND_LIMIT:
+        return None
+    return np.linalg.solve(A, rhs)
+
+
+def tangent(J: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None:
+    """Unit kernel vector of the d x (d+1) Jacobian, or None where J
+    bordered with the orienting row is near-singular.
 
     Orientation: positive inner product with the previous tangent, or a
     negative t-component on the first step (t must initially decrease).
     """
     J = np.asarray(J, dtype=float)
-    d = J.shape[0]
-    Q, R = np.linalg.qr(J.T, mode="complete")
-    diag = np.abs(np.diag(R))
-    scale = max(diag.max(), 1.0) if diag.size else 1.0
-    if diag.size < d or diag.min() <= 1e-14 * scale:
-        raise SingularJacobianError("singular Jacobian: rank-deficient at current point")
-    tau = Q[:, d]
-    tau = tau / np.linalg.norm(tau)
-    if prev is not None:
-        if float(tau @ prev) < 0:
-            tau = -tau
-    elif tau[-1] > 0:
-        tau = -tau
-    return tau
+    e_t = np.zeros(J.shape[0] + 1)
+    e_t[-1] = 1.0
+    # J z = 0 and row . z = 1 > 0, so z already points along prev
+    z = _bordered_solve(J, e_t if prev is None else prev, e_t)
+    if z is None:
+        return None
+    z = z / np.linalg.norm(z)
+    return -z if prev is None else z
 
 
 def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
@@ -133,11 +138,10 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
             continue
         if not np.isfinite(res):
             return None
-        A = np.vstack([J, tau])
-        if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _COND_LIMIT:
-            return None
         rhs = np.concatenate([r, [tau @ (v - anchor)]])
-        step = np.linalg.solve(A, -rhs)
+        step = _bordered_solve(J, tau, -rhs)
+        if step is None:
+            return None
         base, base_res = v, res
         v = v + step
         v[d] = min(max(v[d], 0.0), 1.0)
@@ -179,31 +183,20 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
 
     e_t = np.zeros(d + 1)
     e_t[d] = 1.0
-
-    def terminal(u_from):
-        """Landing at the terminal level; None if the corrector does not land."""
-        hit = correct(hm, u_from, t_end, e_t, cfg, land_tol)
-        if hit is None:
-            return None
-        u_t, _, iters, res, _ = hit
-        path.append(PathPoint(u=u_t.copy(), t=t_end, step_len=0.0,
-                              corrector_iters=iters, residual=res,
-                              cum_sample_evals=bm.eval_counter - evals0))
-        return finish("converged", u_t, t_end, res)
-
     h = cfg.h0
     prev_tau = None
     while counters["predictor_steps"] + counters["rejected_steps"] < cfg.max_steps:
         tau = tangent(J, prev_tau)
+        if tau is None:
+            return finish("stalled", u, t, res0)
         t_pred = t + h * tau[-1]
-        if t_pred <= t_end and tau[-1] < 0:
-            # step would cross the terminal level: try to land there directly
-            result = terminal(u)
-            if result is not None:
-                return result
-            hit = None
+        # at or past the terminal level, or a step that would cross it: land
+        landing = t <= t_end or (t_pred <= t_end and tau[-1] < 0)
+        if landing:
+            start, t_start, row, tol = u, t_end, e_t, land_tol
         else:
-            hit = correct(hm, u + h * tau[:d], t_pred, tau, cfg)
+            start, t_start, row, tol = u + h * tau[:d], t_pred, tau, None
+        hit = correct(hm, start, t_start, row, cfg, tol)
         if hit is None:  # the landing or the corrector failed: shrink, retry
             h *= _SHRINK
             if h < _H_MIN:
@@ -211,6 +204,11 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             counters["rejected_steps"] += 1
             continue
         u, t, iters, res0, J = hit
+        if landing:
+            path.append(PathPoint(u=u.copy(), t=t_end, step_len=0.0,
+                                  corrector_iters=iters, residual=res0,
+                                  cum_sample_evals=bm.eval_counter - evals0))
+            return finish("converged", u, t_end, res0)
         counters["predictor_steps"] += 1
         counters["corrector_iters_total"] += iters
         path.append(PathPoint(u=u.copy(), t=t, step_len=h, corrector_iters=iters,
@@ -219,10 +217,6 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         prev_tau = tau
         if np.any(u[:n] < guard_lo) or np.any(u[:n] > guard_hi):
             return finish("diverged-out-of-box", u, t, res0)
-        if t <= t_end:
-            result = terminal(u)
-            if result is not None:
-                return result
         if iters <= 3:
             h = min(_GROW * h, cfg.h_max)
     return finish("max_steps", u, t, res0)

@@ -118,7 +118,8 @@ def test_unknown_problem_is_exit_3(tmp_path, capsys):
     (["--alpha", "1,2,3"], "alpha"),  # one entry too many for n = 2
     (["--partition", "lineer"], "partition"),
     (["--problem", "market", "--n", "5"], "market"),  # market has n = 3
-], ids=["alpha-length", "partition-kind", "market-n"])
+    (["--n", "0"], "n=0"),
+], ids=["alpha-length", "partition-kind", "market-n", "sin-n-0"])
 def test_setting_that_cannot_run_as_given_is_exit_3(tmp_path, capsys, extra, word):
     # refused, not replaced: config.resolved would record a run that did not happen
     code = run(solve_args(tmp_path, extra))
