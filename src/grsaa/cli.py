@@ -2,6 +2,9 @@
 standard homotopy, L = 1, when it is among them) and the coercivity
 diagnostic.
 
+A run splits N samples into L nested groups q_l = round(l*N/L); the paper's
+linear groups q_l = tau1*l are N = tau1*L.
+
 Configs are flat key=value text files; command-line flags override file
 values.  Every artifact directory receives the fully resolved config next to
 the outputs, so a run can be replayed bit-identically (wall-time fields
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import problems
 from .saa import check_coercivity
-from .sampling import draw_samples, partition_linear, partition_uniform
+from .sampling import draw_samples, partition_uniform
 from .schedule import make_schedule
 from .tracer import path_to_csv, trace
 
@@ -39,8 +42,6 @@ class RunConfig:
     n: int = 3
     N: int = 10 ** 4
     L: int = 100
-    partition: str = "uniform"  # uniform | linear
-    tau1: int = 500
     schedule: str = "uniform"   # uniform | random-descending | harmonic
     tau0: float = 7000.0
     sched_seed: int = 1
@@ -66,33 +67,32 @@ class RunConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in casts:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            setattr(cfg, key, casts[key](val))
+            setattr(cfg, key, _cast(key, val, casts[key]))
         return cfg
+
+
+def _cast(key: str, val: str, cast):
+    """cast(val), or a ValueError that names the setting."""
+    try:
+        return cast(val)
+    except ValueError:
+        raise ValueError(f"{key}={val!r}: expected {cast.__name__}") from None
 
 
 def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
     """Instance + homotopy map for one run; validates the configuration."""
     L = cfg.L if L is None else L
     seed = cfg.seed if seed is None else seed
+    for key in ("seed", "sched_seed"):
+        if getattr(cfg, key) < 0:
+            raise ValueError(f"{key}={getattr(cfg, key)}: need a seed >= 0")
     inst = problems.get_instance(cfg.problem, cfg.n)
-    if cfg.partition == "linear":
-        part = partition_linear(cfg.tau1, L)
-        N = part.N
-    elif cfg.partition == "uniform":
-        if L > cfg.N or L < 1:
-            raise ValueError(f"need 1 <= L <= N, got L={L}, N={cfg.N}")
-        part = partition_uniform(cfg.N, L)
-        N = cfg.N
-    else:
-        raise ValueError(f"unknown partition {cfg.partition!r}: "
-                         "expected uniform or linear")
-    samples = draw_samples(inst.distribution, N, seed=seed)
-    sched = make_schedule(cfg.schedule, L,
-                          seed=cfg.sched_seed,
-                          tau0=cfg.tau0 if cfg.schedule == "harmonic" else None)
+    part = partition_uniform(cfg.N, L)
+    samples = draw_samples(inst.distribution, cfg.N, seed=seed)
+    sched = make_schedule(cfg.schedule, L, seed=cfg.sched_seed, tau0=cfg.tau0)
     alpha = None
     if cfg.alpha:
-        alpha = np.array([float(v) for v in cfg.alpha.split(",")])
+        alpha = np.array([_cast("alpha", v, float) for v in cfg.alpha.split(",")])
     hm = problems.build_homotopy(inst, samples, part, sched, alpha=alpha)
     return inst, hm
 
@@ -108,7 +108,6 @@ def _write_artifacts(outdir: Path, cfg: RunConfig, summary: dict,
 
 def cmd_solve(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
-    cfg = replace(cfg, N=hm.blended.samples.N)  # tau1 * L under partition=linear
     t0 = time.perf_counter()
     result = trace(hm)
     wall = time.perf_counter() - t0
@@ -133,11 +132,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_l(cfg: RunConfig) -> int:
-    if not cfg.L_values:
-        raise ValueError("sweep-l requires L_values (comma-separated)")
     if cfg.reps < 1:
         raise ValueError(f"sweep-l needs reps >= 1, got {cfg.reps}")
-    L_list = [int(v) for v in cfg.L_values.split(",")]
+    L_list = [_cast("L_values", v, int) for v in cfg.L_values.split(",")]
+    for L in L_list:  # refuse any L before the first trace
+        partition_uniform(cfg.N, L)
     rows = []
     worst = "converged"
     for L in L_list:
@@ -150,7 +149,7 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
             evals.append(result.counters["sample_evals"])
             if result.status != "converged":
                 worst = result.status
-        rows.append({"L": L, "N": hm.blended.samples.N,
+        rows.append({"L": L, "N": cfg.N,
                      "mean_sample_evals": float(np.mean(evals)),
                      "min_sample_evals": int(np.min(evals)),
                      "max_sample_evals": int(np.max(evals)),
@@ -185,7 +184,6 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
 
 def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
-    cfg = replace(cfg, N=hm.blended.samples.N)  # tau1 * L under partition=linear
     report = check_coercivity(hm.blended)
     out = {"min_inner_product": report["min_inner_product"],
            "warning": report["warning"],

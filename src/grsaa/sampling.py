@@ -18,7 +18,6 @@ __all__ = [
     "Partition",
     "draw_samples",
     "partition_uniform",
-    "partition_linear",
 ]
 
 
@@ -109,18 +108,11 @@ def partition_uniform(N: int, L: int) -> Partition:
     """Equal-size cumulative partition: q_l = round(l*N/L), pinned to q_L = N.
 
     For 1 <= L <= N consecutive values differ by N/L >= 1, so they strictly
-    increase from q_1 >= 1, and q_{L-1} = round(N - N/L) <= N - 1."""
+    increase from q_1 >= 1, and q_{L-1} = round(N - N/L) <= N - 1.  With
+    N = tau1*L the quotient is exact, q_l = tau1*l: linear group growth."""
     if L <= 0 or L > N:
         raise ValueError(f"need 1 <= L <= N, got L={L}, N={N}")
     q = [int(round(ell * N / L)) for ell in range(1, L + 1)]
     q[-1] = N
     return Partition(tuple(q))
 
-
-def partition_linear(tau1: int, L: int) -> Partition:
-    """Linearly growing cumulative sizes q_l = tau1 * l (implied N = tau1*L)."""
-    if tau1 < 1:
-        raise ValueError("tau1 must be a positive integer")
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    return Partition(tuple(tau1 * ell for ell in range(1, L + 1)))

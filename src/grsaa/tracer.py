@@ -61,13 +61,22 @@ class PathPoint:
 @dataclass
 class TraceResult:
     status: str  # converged | stalled | max_steps | diverged-out-of-box
-    u_star: np.ndarray
-    t_star: float
     saa_residual: float  # ||f^L(x*)||_inf on the state part
-    final_residual: float
     path: list[PathPoint]
     counters: dict
     n: int  # state dimension; u_star[:n] is the state part
+
+    @property
+    def u_star(self) -> np.ndarray:
+        return self.path[-1].u
+
+    @property
+    def t_star(self) -> float:
+        return self.path[-1].t
+
+    @property
+    def final_residual(self) -> float:
+        return self.path[-1].residual
 
     @property
     def x_star(self) -> np.ndarray:
@@ -172,14 +181,14 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     counters = {"predictor_steps": 0, "rejected_steps": 0,
                 "corrector_iters_total": 0, "sample_evals": 0, "jac_evals": 0}
 
-    def finish(status, u_fin, t_fin, final_res):
+    def finish(status):
         # counted before the full-sample diagnostic pass, which is not solver work
         counters["sample_evals"] = bm.eval_counter - evals0
         counters["jac_evals"] = bm.jac_counter - jacs0
-        saa = float(np.linalg.norm(bm.sample_average(bm.L, u_fin[:n]), np.inf))
-        return TraceResult(status=status, u_star=u_fin, t_star=t_fin,
-                           saa_residual=saa, final_residual=final_res,
-                           path=path, counters=counters, n=n)
+        saa = float(np.linalg.norm(bm.sample_average(bm.L, path[-1].u[:n]),
+                                   np.inf))
+        return TraceResult(status=status, saa_residual=saa, path=path,
+                           counters=counters, n=n)
 
     e_t = np.zeros(d + 1)
     e_t[d] = 1.0
@@ -188,7 +197,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     while counters["predictor_steps"] + counters["rejected_steps"] < cfg.max_steps:
         tau = tangent(J, prev_tau)
         if tau is None:
-            return finish("stalled", u, t, res0)
+            return finish("stalled")
         t_pred = t + h * tau[-1]
         # at or past the terminal level, or a step that would cross it: land
         landing = t <= t_end or (t_pred <= t_end and tau[-1] < 0)
@@ -200,7 +209,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         if hit is None:  # the landing or the corrector failed: shrink, retry
             h *= _SHRINK
             if h < _H_MIN:
-                return finish("stalled", u, t, res0)
+                return finish("stalled")
             counters["rejected_steps"] += 1
             continue
         u, t, iters, res0, J = hit
@@ -208,7 +217,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             path.append(PathPoint(u=u.copy(), t=t_end, step_len=0.0,
                                   corrector_iters=iters, residual=res0,
                                   cum_sample_evals=bm.eval_counter - evals0))
-            return finish("converged", u, t_end, res0)
+            return finish("converged")
         counters["predictor_steps"] += 1
         counters["corrector_iters_total"] += iters
         path.append(PathPoint(u=u.copy(), t=t, step_len=h, corrector_iters=iters,
@@ -216,10 +225,10 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
                               cum_sample_evals=bm.eval_counter - evals0))
         prev_tau = tau
         if np.any(u[:n] < guard_lo) or np.any(u[:n] > guard_hi):
-            return finish("diverged-out-of-box", u, t, res0)
+            return finish("diverged-out-of-box")
         if iters <= 3:
             h = min(_GROW * h, cfg.h_max)
-    return finish("max_steps", u, t, res0)
+    return finish("max_steps")
 
 
 def path_to_csv(result: TraceResult, path) -> None:

@@ -74,8 +74,9 @@ def test_experiment_configs_load_and_build():
 
 
 def test_invalid_config_key_is_exit_3(tmp_path, capsys):
-    # a misspelt key, and a step-control key that older runs wrote
-    for i, line in enumerate(("problme=sin\n", "h0=0.01\n")):
+    # a misspelt key, and step-control and partition keys that older runs wrote
+    for i, line in enumerate(("problme=sin\n", "h0=0.01\n",
+                              "partition=linear\n", "tau1=500\n")):
         bad = tmp_path / f"bad{i}.cfg"
         bad.write_text(line)
         out = tmp_path / f"out{i}"
@@ -86,8 +87,10 @@ def test_invalid_config_key_is_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [["--bogus", "1"], ["--N", "abc"],
-                                   ["--h0", "0.5"]],
-                         ids=["unknown-flag", "ill-typed", "removed-flag"])
+                                   ["--h0", "0.5"], ["--partition", "lineer"],
+                                   ["--tau1", "500"]],
+                         ids=["unknown-flag", "ill-typed", "removed-flag",
+                              "removed-partition-flag", "removed-tau1-flag"])
 def test_bad_flag_is_exit_3(tmp_path, capsys, extra):
     code = run(solve_args(tmp_path, extra))
     assert code == EXIT_CONFIG
@@ -116,10 +119,13 @@ def test_unknown_problem_is_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra, word", [
     (["--alpha", "1,2,3"], "alpha"),  # one entry too many for n = 2
-    (["--partition", "lineer"], "partition"),
+    (["--alpha", ","], "alpha"),
     (["--problem", "market", "--n", "5"], "market"),  # market has n = 3
     (["--n", "0"], "n=0"),
-], ids=["alpha-length", "partition-kind", "market-n", "sin-n-0"])
+    (["--seed", "-1"], "seed=-1"),
+    (["--schedule", "random-descending", "--sched-seed", "-1"], "sched_seed=-1"),
+], ids=["alpha-length", "alpha-empty-entry", "market-n", "sin-n-0",
+        "negative-seed", "negative-sched-seed"])
 def test_setting_that_cannot_run_as_given_is_exit_3(tmp_path, capsys, extra, word):
     # refused, not replaced: config.resolved would record a run that did not happen
     code = run(solve_args(tmp_path, extra))
@@ -174,27 +180,27 @@ def test_sweep_l_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_linear_partition_records_the_sample_count_that_ran(tmp_path, capsys):
-    # partition=linear draws tau1 * L samples whatever N says
-    out = tmp_path / "lin"
-    assert run(["solve", "--problem", "sin", "--n", "2", "--partition", "linear",
-                "--tau1", "20", "--L", "3", "--N", "12345",
-                "--out", str(out)]) == EXIT_OK
-    assert "N=60\n" in (out / "config.resolved").read_text()
-    assert json.loads((out / "summary.json").read_text())["config"]["N"] == 60
-    sweep = tmp_path / "sweep"
-    assert run(["sweep-l", "--problem", "sin", "--n", "2", "--partition", "linear",
-                "--tau1", "20", "--N", "12345", "--L-values", "1,3",
-                "--out", str(sweep)]) == EXIT_OK
-    rows = json.loads((sweep / "summary.json").read_text())["rows"]
-    assert [r["N"] for r in rows] == [20, 60]
-    capsys.readouterr()
+@pytest.mark.parametrize("L_values, word", [("1,,3", "L_values"),
+                                             ("2,500", "L=500")],
+                         ids=["empty-entry", "L-above-N"])
+def test_sweep_l_refuses_every_bad_l_before_tracing(tmp_path, capsys, monkeypatch,
+                                                   L_values, word):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a path was traced before the L values were checked")
+
+    monkeypatch.setattr("grsaa.cli.trace", no_trace)
+    out = tmp_path / "o"
+    code = run(["sweep-l", "--problem", "sin", "--n", "2", "--N", "100",
+                "--L-values", L_values, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert word in capsys.readouterr().err
 
 
 def test_sweep_l_requires_l_values(tmp_path, capsys):
     code = run(["sweep-l", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    capsys.readouterr()
+    assert "L_values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])

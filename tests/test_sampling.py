@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from grsaa.sampling import (Partition, UniformBox, draw_samples,
-                            partition_linear, partition_uniform)
+from grsaa.sampling import Partition, UniformBox, draw_samples, partition_uniform
 
 U11 = UniformBox.scalar(-1.0, 1.0)
 
@@ -64,12 +63,11 @@ def test_partition_uniform_rejects_bad_L():
         partition_uniform(5, 0)
 
 
-def test_partition_linear():
-    assert partition_linear(500, 3).q == (500, 1000, 1500)
-    assert partition_linear(1, 4).q == (1, 2, 3, 4)
-    assert partition_linear(2, 1).q == (2,)
-    with pytest.raises(ValueError):
-        partition_linear(0, 3)
+def test_partition_uniform_of_tau1_L_is_linear():
+    # the paper's linear groups q_l = tau1 * l are the uniform partition of N = tau1 * L
+    for tau1, L in ((500, 3), (1, 4), (2, 1)):
+        assert partition_uniform(tau1 * L, L).q == tuple(tau1 * ell
+                                                        for ell in range(1, L + 1))
 
 
 def test_partition_invariants_enforced():
