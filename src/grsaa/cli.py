@@ -42,9 +42,7 @@ class RunConfig:
     n: int = 3
     N: int = 10 ** 4
     L: int = 100
-    schedule: str = "uniform"   # uniform | random-descending | harmonic
-    tau0: float = 7000.0
-    sched_seed: int = 1
+    schedule: str = "uniform"   # uniform | harmonic
     seed: int = 1
     alpha: str = ""  # comma-separated floats; empty means zero
     reps: int = 1
@@ -83,13 +81,12 @@ def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
     """Instance + homotopy map for one run; validates the configuration."""
     L = cfg.L if L is None else L
     seed = cfg.seed if seed is None else seed
-    for key in ("seed", "sched_seed"):
-        if getattr(cfg, key) < 0:
-            raise ValueError(f"{key}={getattr(cfg, key)}: need a seed >= 0")
+    if cfg.seed < 0:
+        raise ValueError(f"seed={cfg.seed}: need a seed >= 0")
     inst = problems.get_instance(cfg.problem, cfg.n)
     part = partition_uniform(cfg.N, L)
     samples = draw_samples(inst.distribution, cfg.N, seed=seed)
-    sched = make_schedule(cfg.schedule, L, seed=cfg.sched_seed, tau0=cfg.tau0)
+    sched = make_schedule(cfg.schedule, L)
     alpha = None
     if cfg.alpha:
         alpha = np.array([_cast("alpha", v, float) for v in cfg.alpha.split(",")])

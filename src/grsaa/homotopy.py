@@ -127,6 +127,8 @@ class HomotopyMap:
         if self.alpha.shape != (n,):
             raise ValueError(f"alpha must have {n} entries, one per state "
                              f"component; got shape {self.alpha.shape}")
+        if not np.all(np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite; got {self.alpha}")
         if (self.B is None) != (self.b is None):
             raise ValueError("constraint data needs both B and b")
         self.B = np.zeros((0, n)) if self.B is None else np.asarray(self.B, dtype=float)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .sampling import Partition, SampleSet
-from .schedule import NodeSchedule, segment_of, theta, theta_prime
+from .schedule import NodeSchedule
 
 __all__ = ["StochasticSystem", "BlendedMap", "check_coercivity"]
 
@@ -140,9 +140,7 @@ class BlendedMap:
         q_{l-1}.
         """
         x = np.asarray(x, dtype=float)
-        ell = segment_of(t, self.schedule)
-        th = theta(ell, t, self.schedule)
-        thp = theta_prime(ell, t, self.schedule)
+        ell, th, thp = self.schedule.blend(t)
         q_hi = self.partition.q[ell - 1]
         q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
         w = np.full(q_hi, th / q_hi)

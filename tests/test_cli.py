@@ -74,9 +74,11 @@ def test_experiment_configs_load_and_build():
 
 
 def test_invalid_config_key_is_exit_3(tmp_path, capsys):
-    # a misspelt key, and step-control and partition keys that older runs wrote
+    # a misspelt key, and step-control, partition and schedule keys that
+    # older runs wrote
     for i, line in enumerate(("problme=sin\n", "h0=0.01\n",
-                              "partition=linear\n", "tau1=500\n")):
+                              "partition=linear\n", "tau1=500\n",
+                              "tau0=7000\n", "sched_seed=1\n")):
         bad = tmp_path / f"bad{i}.cfg"
         bad.write_text(line)
         out = tmp_path / f"out{i}"
@@ -88,9 +90,11 @@ def test_invalid_config_key_is_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [["--bogus", "1"], ["--N", "abc"],
                                    ["--h0", "0.5"], ["--partition", "lineer"],
-                                   ["--tau1", "500"]],
+                                   ["--tau1", "500"], ["--tau0", "7000"],
+                                   ["--sched-seed", "1"]],
                          ids=["unknown-flag", "ill-typed", "removed-flag",
-                              "removed-partition-flag", "removed-tau1-flag"])
+                              "removed-partition-flag", "removed-tau1-flag",
+                              "removed-tau0-flag", "removed-sched-seed-flag"])
 def test_bad_flag_is_exit_3(tmp_path, capsys, extra):
     code = run(solve_args(tmp_path, extra))
     assert code == EXIT_CONFIG
@@ -120,12 +124,13 @@ def test_unknown_problem_is_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("extra, word", [
     (["--alpha", "1,2,3"], "alpha"),  # one entry too many for n = 2
     (["--alpha", ","], "alpha"),
+    (["--alpha", "nan,0"], "alpha"),
     (["--problem", "market", "--n", "5"], "market"),  # market has n = 3
     (["--n", "0"], "n=0"),
     (["--seed", "-1"], "seed=-1"),
-    (["--schedule", "random-descending", "--sched-seed", "-1"], "sched_seed=-1"),
-], ids=["alpha-length", "alpha-empty-entry", "market-n", "sin-n-0",
-        "negative-seed", "negative-sched-seed"])
+    (["--schedule", "random-descending"], "random-descending"),  # removed kind
+], ids=["alpha-length", "alpha-empty-entry", "alpha-nonfinite", "market-n",
+        "sin-n-0", "negative-seed", "removed-schedule-kind"])
 def test_setting_that_cannot_run_as_given_is_exit_3(tmp_path, capsys, extra, word):
     # refused, not replaced: config.resolved would record a run that did not happen
     code = run(solve_args(tmp_path, extra))

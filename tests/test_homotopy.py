@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from grsaa.homotopy import KAPPA0, HomotopyMap, solve_start_y, transform_derivs
 from grsaa.sampling import draw_samples, partition_uniform
 from grsaa.saa import BlendedMap
-from grsaa.schedule import make_schedule, segment_of
+from grsaa.schedule import make_schedule
 from grsaa import problems as P
 
 
@@ -84,7 +84,7 @@ def test_evaluate_is_one_pass_per_point():
         bm = hm.blended
         u = hm.start_point() + 0.1
         t = 0.6
-        q = bm.partition.q[segment_of(t, bm.schedule) - 1]
+        q = bm.partition.q[bm.schedule.blend(t)[0] - 1]
         evals, jacs = bm.eval_counter, bm.jac_counter
         hm.evaluate(u, t)
         assert (bm.eval_counter - evals, bm.jac_counter - jacs) == (q, q)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
 from grsaa.saa import (COERCIVITY_MAX_POINTS, BlendedMap, StochasticSystem,
                        check_coercivity)
-from grsaa.schedule import make_schedule, segment_of, theta, theta_prime
+from grsaa.schedule import make_schedule
 from grsaa import problems as P
 
 
@@ -62,17 +63,16 @@ def test_blend_hits_group_average_at_nodes():
 
 
 def test_blend_values_agree_across_adjacent_segments():
-    # at an interior node the upper segment's blend equals the lower one's
+    # at an interior node t_l segment l ends with theta = 1; one ulp below it
+    # segment l + 1 starts with theta ~ 0, so both give f^l
     bm = sin_map()
     x = np.array([-0.2, 0.4, 0.1])
-    from grsaa.schedule import theta
     for ell in range(1, bm.L):
         t_node = bm.schedule.nodes[ell]
-        lower = bm.evaluate(x, t_node)[0]  # segment ell, theta = 1
-        th = theta(ell + 1, t_node, bm.schedule)  # upper segment, theta = 0
-        upper = (1.0 - th) * bm.sample_average(ell, x) \
-            + th * bm.sample_average(ell + 1, x)
-        assert np.array_equal(lower, upper)
+        below = math.nextafter(t_node, 0.0)
+        assert bm.schedule.blend(below)[0] == ell + 1
+        assert np.allclose(bm.evaluate(x, below)[0], bm.evaluate(x, t_node)[0],
+                           rtol=0, atol=1e-15)
 
 
 def test_eval_counter_counts_active_group():
@@ -217,9 +217,7 @@ def test_evaluate_paths_agree_bit_for_bit():
         for bm in problem_maps():
             for x, t in points(bm, rng):
                 d, dd_dt, J = bm.evaluate(x, t)
-                ell = segment_of(t, bm.schedule)
-                th = theta(ell, t, bm.schedule)
-                thp = theta_prime(ell, t, bm.schedule)
+                ell, th, thp = bm.schedule.blend(t)
                 f_lo = bm.sample_average(ell - 1, x)
                 f_hi = bm.sample_average(ell, x)
                 assert J.shape == (bm.system.n,) * 2
@@ -262,8 +260,7 @@ def test_evaluate_jacobian_blends_per_sample_jacobians():
         for bm in problem_maps():
             n = bm.system.n
             for x, t in points(bm, rng):
-                ell = segment_of(t, bm.schedule)
-                th = theta(ell, t, bm.schedule)
+                ell, th, _ = bm.schedule.blend(t)
                 q_hi = bm.partition.q[ell - 1]
                 q_lo = bm.partition.q[ell - 2] if ell >= 2 else 0
                 xis = bm.samples.samples[:q_hi]
