@@ -135,7 +135,7 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
     for L in L_list:  # refuse any L before the first trace
         partition_uniform(cfg.N, L)
     rows = []
-    worst = "converged"
+    status = "converged"  # or the status of the first failed solve
     for L in L_list:
         evals, walls = [], []
         for rep in range(cfg.reps):
@@ -144,8 +144,8 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
             result = trace(hm)
             walls.append(time.perf_counter() - t0)
             evals.append(result.counters["sample_evals"])
-            if result.status != "converged":
-                worst = result.status
+            if status == "converged":
+                status = result.status
         rows.append({"L": L, "N": cfg.N,
                      "mean_sample_evals": float(np.mean(evals)),
                      "min_sample_evals": int(np.min(evals)),
@@ -169,32 +169,24 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
                      f"{r['min_sample_evals']},{r['max_sample_evals']},"
                      f"{r['mean_wall_time_s']:.6g},{ratio}"
                      f"{int(r['L'] == best['L'])}\n")
-    summary = {"rows": rows, "best_L": best["L"], "status": worst,
+    summary = {"rows": rows, "best_L": best["L"], "status": status,
                "config": asdict(cfg)}
     _write_artifacts(outdir, cfg, summary)
     for r in rows:
         ratio = f"  ratio_to_L1={r['ratio_to_L1']:.4f}" if standard is not None else ""
         mark = "  <- min" if r["L"] == best["L"] else ""
         print(f"L={r['L']:>8d}  mean evals={r['mean_sample_evals']:.4g}{ratio}{mark}")
-    return EXIT_OK if worst == "converged" else EXIT_SOLVER
+    return EXIT_OK if status == "converged" else EXIT_SOLVER
 
 
 def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
     report = check_coercivity(hm.blended)
-    out = {"min_inner_product": report["min_inner_product"],
-           "warning": report["warning"],
-           "boundary_points": report["boundary_points"],
-           "grid_density": report["grid_density"],
-           "samples_tested": report["samples_tested"],
-           "argmin_x": None if report["argmin"][0] is None
-           else np.asarray(report["argmin"][0]).tolist(),
-           "argmin_sample_index": report["argmin"][1],
-           "config": asdict(cfg)}
-    _write_artifacts(Path(cfg.out), cfg, out)
+    _write_artifacts(Path(cfg.out), cfg, {**report, "config": asdict(cfg)})
     word = "WARNING: condition violated on tested set" if report["warning"] else "ok"
-    print(f"min (x-x0).f(x,xi) over boundary grid (density "
-          f"{report['grid_density']}) = {report['min_inner_product']:.6g}  [{word}]")
+    print(f"min (x-x0).f(x,xi) over {report['boundary_points']} boundary points "
+          f"and {report['samples_tested']} samples = "
+          f"{report['min_inner_product']:.6g}  [{word}]")
     return EXIT_OK
 
 

@@ -42,45 +42,27 @@ __all__ = ["HomotopyMap", "transform_derivs", "solve_start_y"]
 KAPPA0 = 2
 
 
-def _transform_factors(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(y^2+4t) -/+ y)/2 with the cancellation-prone branch rewritten
-    through the product identity a_neg * a_pos = t."""
-    r = np.sqrt(y * y + 4.0 * t)
-    a_big = (r + np.abs(y)) / 2.0  # >= sqrt(t) > 0, no cancellation
-    a_small = t / a_big
-    a_pos = np.where(y >= 0, a_big, a_small)
-    a_neg = np.where(y >= 0, a_small, a_big)
-    return a_neg, a_pos
-
-
 def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
-    """Values and all first partials of the (neg, pos) pair.
+    """Values and all first partials of the (neg, pos) pair, for every t >= 0.
 
     Returns keys neg, pos, dneg_dy, dpos_dy, dneg_dt, dpos_dt (each (M,),
-    the y-derivatives being the diagonals of the componentwise Jacobians);
-    t = 0 uses the exact limit form.
+    the y-derivatives being the diagonals of the componentwise Jacobians).
+    The cancellation-prone factor is rewritten through the product identity
+    a_neg * a_pos = t, so that one formula also gives the exact limit at
+    t = 0: a_neg = max(-y, 0), a_pos = max(y, 0).
     """
     if t < 0:
         raise ValueError("transform requires t >= 0")
     if kappa0 < 2:
         raise ValueError("kappa0 must be at least 2")
     y = np.asarray(y, dtype=float)
-    if t == 0.0:
-        a_neg = np.maximum(-y, 0.0)
-        a_pos = np.maximum(y, 0.0)
-        neg = a_neg ** kappa0
-        pos = a_pos ** kappa0
-        # kappa0 >= 2 makes the power transform C^1 at the kink
-        dneg_dy = -kappa0 * a_neg ** (kappa0 - 1)
-        dpos_dy = kappa0 * a_pos ** (kappa0 - 1)
-        with np.errstate(divide="ignore"):
-            inv_r = np.where(y != 0.0, 1.0 / np.abs(y), 0.0)
-        dneg_dt = kappa0 * a_neg ** (kappa0 - 1) * inv_r
-        dpos_dt = kappa0 * a_pos ** (kappa0 - 1) * inv_r
-        return {"neg": neg, "pos": pos, "dneg_dy": dneg_dy, "dpos_dy": dpos_dy,
-                "dneg_dt": dneg_dt, "dpos_dt": dpos_dt}
     r = np.sqrt(y * y + 4.0 * t)
-    a_neg, a_pos = _transform_factors(y, t)
+    a_big = (r + np.abs(y)) / 2.0  # >= sqrt(t), no cancellation
+    # r and a_big vanish only at y = 0, t = 0, where their numerators do too
+    a_small = t / np.where(a_big > 0, a_big, 1.0)
+    r = np.where(r > 0, r, 1.0)
+    a_pos = np.where(y >= 0, a_big, a_small)
+    a_neg = np.where(y >= 0, a_small, a_big)
     neg = a_neg ** kappa0
     pos = a_pos ** kappa0
     return {

@@ -27,8 +27,10 @@ from .schedule import NodeSchedule
 
 __all__ = ["StochasticSystem", "BlendedMap", "check_coercivity"]
 
-# Largest number of boundary points check_coercivity may enumerate.
-COERCIVITY_MAX_POINTS = 10 ** 5
+# check_coercivity's test set: points drawn per box face (from seed 0) and
+# the most xi's it tests
+_FACE_POINTS = 256
+_MAX_XI = 200
 
 # Residual evaluators are batched over samples for speed:
 #   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise
@@ -135,7 +137,7 @@ class BlendedMap:
 
         One pass of the system's fused `jacobian` kernel over the first q_l
         samples gives d, dd/dt = theta_l'(t) (f^l - f^{l-1}), which is
-        exactly zero at nodes, and dd/dx = sum_k w_k J_k, where
+        exactly (signed) zero at nodes, and dd/dx = sum_k w_k J_k, where
         w_k = theta/q_l on every row plus (1 - theta)/q_{l-1} on the first
         q_{l-1}.
         """
@@ -149,7 +151,7 @@ class BlendedMap:
         vals, dd_dx = self._residual_block(x, q_hi, w)
         f_lo, f_hi = _head_and_mean(vals, q_lo)
         d = (1.0 - th) * f_lo + th * f_hi
-        dd_dt = np.zeros(self.system.n) if thp == 0.0 else thp * (f_hi - f_lo)
+        dd_dt = thp * (f_hi - f_lo)
         return d, dd_dt, dd_dx
 
 
@@ -160,53 +162,36 @@ def _head_and_mean(vals: np.ndarray, q_lo: int) -> tuple[np.ndarray, np.ndarray]
     return head, vals.sum(axis=0) / vals.shape[0]
 
 
-def check_coercivity(bm: BlendedMap, grid_density: int = 8,
-                     max_samples: int = 200) -> dict:
+def check_coercivity(bm: BlendedMap) -> dict:
     """Boundary diagnostic for the confinement condition.
 
-    Evaluates (x - x0)^T f(x, xi) over a deterministic grid on the faces of
-    the domain box and an evenly spaced subsample of the xi's.  A nonpositive
-    minimum is a warning (the condition failed on the tested set), never an
-    error.  The 2n g^(n-1) face points are counted before any is built: g is
-    lowered from grid_density to the largest value >= 2 within
-    COERCIVITY_MAX_POINTS, and a ValueError is raised if even g = 2 exceeds
-    it.  The report gives the g used.
+    Evaluates (x - x0)^T f(x, xi) at _FACE_POINTS points drawn uniformly on
+    each of the 2n faces of the domain box, the same points on every call,
+    and at most _MAX_XI evenly spaced xi's.  A nonpositive minimum is a
+    warning (the condition failed on the tested set), never an error.  The
+    report is JSON-ready.
     """
     sys_ = bm.system
     n = sys_.n
     lo, hi, x0 = sys_.box_lo, sys_.box_hi, sys_.x0
-    while grid_density > 2 and 2 * n * grid_density ** (n - 1) > COERCIVITY_MAX_POINTS:
-        grid_density -= 1
-    points = 2 * n * grid_density ** (n - 1)
-    if points > COERCIVITY_MAX_POINTS:
-        raise ValueError(
-            f"coercivity grid needs {points} boundary points at density "
-            f"{grid_density} for n={n}, above the budget of {COERCIVITY_MAX_POINTS}")
-    axes = [np.linspace(lo[j], hi[j], grid_density) for j in range(n)]
-    pts = []
-    for face in range(n):
-        for bound in (lo[face], hi[face]):
-            grid_axes = [axes[j] if j != face else np.array([bound]) for j in range(n)]
-            mesh = np.meshgrid(*grid_axes, indexing="ij")
-            pts.append(np.stack([g.ravel() for g in mesh], axis=1))
-    boundary = np.unique(np.concatenate(pts, axis=0), axis=0)
+    faces = np.random.default_rng(0).uniform(lo, hi, size=(2 * n, _FACE_POINTS, n))
+    for j in range(n):  # face 2j holds x_j = lo_j, face 2j + 1 holds x_j = hi_j
+        faces[2 * j, :, j], faces[2 * j + 1, :, j] = lo[j], hi[j]
+    boundary = faces.reshape(-1, n)
 
-    step = max(1, bm.samples.N // max_samples)
+    step = -(-bm.samples.N // _MAX_XI)
     xis = bm.samples.samples[::step]
-    best = np.inf
-    arg = (None, None)
+    best, arg_x, arg_k = np.inf, None, None
     for x in boundary:
-        vals = np.asarray(sys_.residual(x, xis))  # (k, n)
-        inner = vals @ (x - x0)
+        inner = np.asarray(sys_.residual(x, xis)) @ (x - x0)
         k = int(np.argmin(inner))
         if inner[k] < best:
-            best = float(inner[k])
-            arg = (x.copy(), k * step)
+            best, arg_x, arg_k = float(inner[k]), x.tolist(), k * step
     return {
         "min_inner_product": best,
-        "argmin": arg,
         "warning": best <= 0.0,
         "boundary_points": len(boundary),
-        "grid_density": grid_density,
         "samples_tested": xis.shape[0],
+        "argmin_x": arg_x,
+        "argmin_sample_index": arg_k,
     }

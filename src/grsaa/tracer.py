@@ -5,8 +5,9 @@ The kernel is the classic one (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 3-4): unit tangent, first-order Euler predictor,
 Newton corrector, multiplicative step-length adaptation.  All of its linear
 algebra is one bordered solve with [J; row], J the full (u, t)-Jacobian:
-- the tangent borders with the previous tangent (with e_t = (0, ..., 0, 1)
-  on the first step) and solves for the right-hand side e_{d+1};
+- the tangent borders with the previous tangent and solves for the
+  right-hand side e_{d+1}; the first step borders with -e_t, where
+  e_t = (0, ..., 0, 1), so that t starts to decrease;
 - the corrector borders with the current tangent, which keeps the iterate
   on the hyperplane through the predicted point;
 - the landing borders with e_t, which pins t at the map's terminal level:
@@ -93,22 +94,21 @@ def _bordered_solve(J: np.ndarray, row: np.ndarray,
     return np.linalg.solve(A, rhs)
 
 
-def tangent(J: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None:
-    """Unit kernel vector of the d x (d+1) Jacobian, or None where J
-    bordered with the orienting row is near-singular.
+def tangent(J: np.ndarray, prev: np.ndarray) -> np.ndarray | None:
+    """Unit kernel vector of the d x (d+1) Jacobian with a positive inner
+    product with prev, or None where J bordered with prev is near-singular.
 
-    Orientation: positive inner product with the previous tangent, or a
-    negative t-component on the first step (t must initially decrease).
+    The trace passes -e_t as prev on its first step, so that t starts to
+    decrease, and the previous tangent after that.
     """
     J = np.asarray(J, dtype=float)
-    e_t = np.zeros(J.shape[0] + 1)
-    e_t[-1] = 1.0
-    # J z = 0 and row . z = 1 > 0, so z already points along prev
-    z = _bordered_solve(J, e_t if prev is None else prev, e_t)
+    rhs = np.zeros(J.shape[0] + 1)
+    rhs[-1] = 1.0
+    # J z = 0 and prev . z = 1 > 0, so z already points along prev
+    z = _bordered_solve(J, prev, rhs)
     if z is None:
         return None
-    z = z / np.linalg.norm(z)
-    return -z if prev is None else z
+    return z / np.linalg.norm(z)
 
 
 def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
@@ -193,7 +193,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     e_t = np.zeros(d + 1)
     e_t[d] = 1.0
     h = cfg.h0
-    prev_tau = None
+    prev_tau = -e_t
     while counters["predictor_steps"] + counters["rejected_steps"] < cfg.max_steps:
         tau = tangent(J, prev_tau)
         if tau is None:
@@ -207,10 +207,10 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             start, t_start, row, tol = u + h * tau[:d], t_pred, tau, None
         hit = correct(hm, start, t_start, row, cfg, tol)
         if hit is None:  # the landing or the corrector failed: shrink, retry
+            counters["rejected_steps"] += 1
             h *= _SHRINK
             if h < _H_MIN:
                 return finish("stalled")
-            counters["rejected_steps"] += 1
             continue
         u, t, iters, res0, J = hit
         if landing:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grsaa.cli import EXIT_CONFIG, EXIT_OK, RunConfig, build_run, main
+from grsaa.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, RunConfig, build_run, main
+from grsaa.tracer import trace
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -86,6 +88,16 @@ def test_invalid_config_key_is_exit_3(tmp_path, capsys):
         assert code == EXIT_CONFIG
         assert not out.exists()  # no artifacts on config failure
         assert "config error" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_is_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("problem=sin\n# a comment\nN 300\n")
+    out = tmp_path / "out"
+    code = run(["solve", "--config", str(bad), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "line 3: expected key=value, got 'N 300'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--bogus", "1"], ["--N", "abc"],
@@ -202,6 +214,23 @@ def test_sweep_l_refuses_every_bad_l_before_tracing(tmp_path, capsys, monkeypatc
     assert word in capsys.readouterr().err
 
 
+def test_sweep_l_reports_the_first_failure(tmp_path, capsys, monkeypatch):
+    # the second and third solves fail, with different statuses: the
+    # summary names the first of them and the run exits 2
+    statuses = iter(["converged", "stalled", "max_steps", "converged"])
+
+    def scripted_trace(hm):
+        return dataclasses.replace(trace(hm), status=next(statuses))
+
+    monkeypatch.setattr("grsaa.cli.trace", scripted_trace)
+    out = tmp_path / "o"
+    code = run(["sweep-l", "--problem", "sin", "--n", "2", "--N", "100",
+                "--L-values", "1,2", "--reps", "2", "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert json.loads((out / "summary.json").read_text())["status"] == "stalled"
+    capsys.readouterr()
+
+
 def test_sweep_l_requires_l_values(tmp_path, capsys):
     code = run(["sweep-l", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
@@ -224,19 +253,22 @@ def test_diagnose_coercivity(tmp_path, capsys):
                 "--N", "50", "--L", "2", "--out", str(out)])
     assert code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert "min_inner_product" in summary
+    assert summary["min_inner_product"] > 0.0
     assert not summary["warning"]
+    assert summary["boundary_points"] == 4 * 256
+    assert len(summary["argmin_x"]) == 2
+    assert summary["config"]["n"] == 2
     capsys.readouterr()
 
 
-def test_diagnose_coercivity_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
-    # n = 14 needs 28 * 2^13 face points even at density 2: refused before
-    # any grid is built
-    def no_grid(*args, **kwargs):
-        raise AssertionError("boundary grid was enumerated")
-
-    monkeypatch.setattr("numpy.meshgrid", no_grid)
+def test_diagnose_coercivity_in_high_dimension_exits_0(tmp_path, capsys):
+    # the face sample has the same size on every face for every n, so there
+    # is no dimension limit
+    out = tmp_path / "diag"
     code = run(["diagnose-coercivity", "--problem", "sin", "--n", "14",
-                "--N", "50", "--L", "2", "--out", str(tmp_path / "diag")])
-    assert code == EXIT_CONFIG
-    assert "budget" in capsys.readouterr().err
+                "--N", "50", "--L", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["boundary_points"] == 28 * 256
+    assert not summary["warning"]
+    capsys.readouterr()

@@ -231,6 +231,16 @@ def test_form_follows_from_constraints():
     assert hm.M == 0 and hm.t_end == 0.0
 
 
+@pytest.mark.parametrize("B, b", [
+    (np.eye(3), np.ones(2)),        # one b entry per row of B
+    (np.ones((2, 2)), np.ones(2)),  # one B column per state component
+    (np.ones(3), np.ones(1)),       # B must be a matrix
+], ids=["b-rows", "B-columns", "B-1d"])
+def test_constraint_dimensions_must_match(B, b):
+    with pytest.raises(ValueError, match="dimensions"):
+        HomotopyMap(blended=plain_map().blended, B=B, b=b)
+
+
 def test_kkt_zero_carries_feasibility_and_complementarity():
     # at a root of block 2, slack = pos(y, t) >= 0 so B x <= b, and the
     # multiplier neg(y, t) times the slack equals t^kappa0 componentwise

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
-from grsaa.saa import (COERCIVITY_MAX_POINTS, BlendedMap, StochasticSystem,
-                       check_coercivity)
+from grsaa.saa import BlendedMap, StochasticSystem, check_coercivity
 from grsaa.schedule import make_schedule
 from grsaa import problems as P
 
@@ -167,6 +166,35 @@ def test_mismatched_partition_and_schedule_rejected():
                    schedule=make_schedule("uniform", 3))
 
 
+def _system(**changes):
+    base = dict(n=1, m=1, residual=None, jacobian=None,
+                box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
+                x0=np.array([0.0]))
+    return StochasticSystem(**{**base, **changes})
+
+
+def _map(system=None, samples=None):
+    return BlendedMap(system=system or _system(),
+                      samples=samples or SampleSet(np.zeros((4, 1))),
+                      partition=Partition((2, 4)),
+                      schedule=make_schedule("uniform", 2))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: _system(box_lo=np.array([-1.0, -1.0])), "shape"),
+    (lambda: _system(x0=np.array([0.0, 0.0])), "shape"),
+    (lambda: _system(x0=np.array([1.0])), "strictly inside"),
+    (lambda: _map(samples=SampleSet(np.zeros((5, 1)))), "sample count"),
+    (lambda: _map(system=_system(m=2)), "sample dimension"),
+    (lambda: _map().sample_average(3, np.zeros(1)), "outside 0..2"),
+    (lambda: _map().sample_average(-1, np.zeros(1)), "outside 0..2"),
+], ids=["box-shape", "x0-shape", "x0-on-boundary", "N-mismatch",
+        "m-mismatch", "group-above-L", "group-negative"])
+def test_inconsistent_inputs_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_nonfinite_residual_reports_sample_index():
     def bad(x, xis):
         out = np.ones((xis.shape[0], 1))
@@ -288,28 +316,49 @@ def coercive_map(sign):
 
 
 def test_coercivity_diagnostic_sign():
-    ok = check_coercivity(coercive_map(+1.0), grid_density=5)
+    ok = check_coercivity(coercive_map(+1.0))
     assert ok["min_inner_product"] >= 1.0 and not ok["warning"]
-    bad = check_coercivity(coercive_map(-1.0), grid_density=5)
+    bad = check_coercivity(coercive_map(-1.0))
     assert bad["min_inner_product"] <= -1.0 and bad["warning"]
 
 
 def test_coercivity_sin_system_boundary():
     bm = sin_map(N=50, L=2)
-    report = check_coercivity(bm, grid_density=5)
+    report = check_coercivity(bm)
     assert report["min_inner_product"] > 0.0
     assert not report["warning"]
+    # the argmin is a boundary point and one of the tested samples
+    x = np.array(report["argmin_x"])
+    assert np.any((x == bm.system.box_lo) | (x == bm.system.box_hi))
+    assert 0 <= report["argmin_sample_index"] < 50
 
 
-def test_coercivity_grid_density_kept_in_low_dimension():
-    report = check_coercivity(sin_map(N=50, L=2))
-    assert report["grid_density"] == 8
-    assert report["boundary_points"] == 8 ** 3 - 6 ** 3
+def test_coercivity_same_point_count_on_every_face():
+    # 256 points on each of the 2n faces, for n = 14 as for n = 1 (where a
+    # face is a single point)
+    for n in (1, 3, 14):
+        bm = sin_map(n=n, N=50, L=2)
+        seen = []
+        residual = bm.system.residual
+
+        def recording(x, xis):
+            seen.append(x.copy())
+            return residual(x, xis)
+
+        bm = dataclasses.replace(
+            bm, system=dataclasses.replace(bm.system, residual=recording))
+        report = check_coercivity(bm)
+        pts = np.array(seen)
+        lo, hi = bm.system.box_lo, bm.system.box_hi
+        assert report["boundary_points"] == len(pts) == 2 * n * 256
+        assert np.all((lo <= pts) & (pts <= hi))
+        counts = [np.sum(pts[:, j] == bound) for j in range(n)
+                  for bound in (lo[j], hi[j])]
+        assert counts == [256] * (2 * n), n
 
 
-def test_coercivity_grid_lowered_to_budget():
-    # the default density 8 would give 16 * 8^7 = 33.5M face points at n = 8
-    report = check_coercivity(sin_map(n=8, N=50, L=2))
-    assert report["grid_density"] == 3  # 16 * 3^7 fits, 16 * 4^7 does not
-    assert report["boundary_points"] == 3 ** 8 - 1
-    assert report["boundary_points"] <= COERCIVITY_MAX_POINTS
+@pytest.mark.parametrize("N, tested", [(50, 50), (200, 200), (401, 134),
+                                       (1000, 200), (10 ** 4, 200)])
+def test_coercivity_tests_at_most_200_samples(N, tested):
+    report = check_coercivity(sin_map(n=1, N=N, L=2))
+    assert report["samples_tested"] == tested

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from grsaa.sampling import Partition, UniformBox, draw_samples, partition_uniform
+from grsaa.sampling import (Partition, SampleSet, UniformBox, draw_samples,
+                            partition_uniform)
 
 U11 = UniformBox.scalar(-1.0, 1.0)
 
@@ -26,6 +27,18 @@ def test_degenerate_box_rejected():
         UniformBox.scalar(0.0, 0.0)
     with pytest.raises(ValueError, match="invalid box"):
         UniformBox((0.0, 1.0), (1.0, 0.5))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniformBox((), ()),
+    lambda: UniformBox(((0.0, 0.0),), ((1.0, 1.0),)),
+    lambda: UniformBox((0.0,), (1.0, 2.0)),
+    lambda: SampleSet(np.zeros((0, 1))),
+    lambda: SampleSet(np.zeros(3)),
+], ids=["box-empty", "box-2d", "box-lengths", "samples-empty", "samples-1d"])
+def test_malformed_box_or_samples_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_zero_samples_rejected():

@@ -37,6 +37,18 @@ def test_rejects_bad_kinds_and_L():
             NodeSchedule(nodes=nodes)
 
 
+@pytest.mark.parametrize("nodes, match", [
+    ((), "two nodes"),
+    ((1.0,), "two nodes"),
+    ((0.9, 0.0), "start at 1"),
+    ((1.0, 0.1), "end at 0"),
+    ((0.0, 1.0), "start at 1"),
+])
+def test_nodes_need_two_points_from_one_to_zero(nodes, match):
+    with pytest.raises(ValueError, match=match):
+        NodeSchedule(nodes=nodes)
+
+
 def test_segment_lookup():
     s = make_schedule("uniform", 4)
     assert s.blend(1.0)[0] == 1

@@ -19,17 +19,24 @@ def make_hm(problem="sin", n=3, N=1500, L=4, seed=0, schedule="uniform"):
 
 # -- tangent -----------------------------------------------------------------
 
+def minus_e_t(size):
+    """The orienting row of the first step: t must initially decrease."""
+    row = np.zeros(size)
+    row[-1] = -1.0
+    return row
+
+
 def test_tangent_hand_example():
     # kernel of [2 1] is span{(1, -2)}; normalized and oriented downward in
     # the last component
-    tau = tangent(np.array([[2.0, 1.0]]), prev=None)
+    tau = tangent(np.array([[2.0, 1.0]]), prev=minus_e_t(2))
     assert np.allclose(tau, np.array([1.0, -2.0]) / np.sqrt(5.0))
 
 
 def test_tangent_first_step_points_down_in_t():
     J = np.hstack([np.eye(3), np.zeros((3, 1))])
-    tau = tangent(J, prev=None)
-    assert np.allclose(tau, [0, 0, 0, -1])
+    tau = tangent(J, prev=minus_e_t(4))
+    assert np.array_equal(tau, [0, 0, 0, -1])
 
 
 def test_tangent_follows_previous_orientation():
@@ -40,7 +47,7 @@ def test_tangent_follows_previous_orientation():
 
 
 def test_tangent_rejects_rank_deficiency():
-    assert tangent(np.zeros((2, 3)), prev=None) is None
+    assert tangent(np.zeros((2, 3)), prev=minus_e_t(3)) is None
 
 
 # -- corrector on a closed-form path ----------------------------------------
@@ -210,6 +217,40 @@ def test_singular_jacobian_stalls_the_trace():
     result = trace(FlatMap(blended=inner.blended))
     assert result.status == "stalled"
     assert len(result.path) == 1 and result.t_star == 1.0
+
+
+def test_step_size_stall_counts_every_rejection(monkeypatch):
+    # every corrector call fails, so h halves from h0 = 1e-2 until it falls
+    # below _H_MIN: the rejection that ends the trace is counted too
+    calls = []
+
+    def failing_correct(*args, **kwargs):
+        calls.append(1)
+        return None
+
+    monkeypatch.setattr(tracer, "correct", failing_correct)
+    result = trace(make_hm(N=200, L=2))
+    assert result.status == "stalled"
+    assert len(calls) == 27  # 1e-2 / 2^27 < 1e-10 <= 1e-2 / 2^26
+    assert result.counters["rejected_steps"] == len(calls)
+    assert result.counters["predictor_steps"] == 0
+
+
+def test_path_leaving_the_guard_box_is_diverged():
+    # f = x - 100 has its root far outside the box [-1, 1]; the path
+    # x(t) = 100 (1 - t) leaves the guard box [-2, 2] on the way there
+    sys_ = StochasticSystem(
+        n=1, m=1,
+        residual=lambda x, xis: np.repeat(x[None, :] - 100.0, xis.shape[0], axis=0),
+        jacobian=lambda x, xis, w: (np.repeat(x[None, :] - 100.0, xis.shape[0], axis=0),
+                                    w.sum() * np.ones((1, 1))),
+        box_lo=np.array([-1.0]), box_hi=np.array([1.0]), x0=np.array([0.0]))
+    bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
+                    partition=Partition((1,)), schedule=make_schedule("uniform", 1))
+    result = trace(HomotopyMap(blended=bm))
+    assert result.status == "diverged-out-of-box"
+    assert result.counters["predictor_steps"] == 16
+    assert result.x_star[0] > 2.0 and result.t_star > 0.0
 
 
 def test_max_steps_is_reported():
