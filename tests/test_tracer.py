@@ -52,17 +52,19 @@ def test_tangent_rejects_rank_deficiency():
 
 # -- corrector on a closed-form path ----------------------------------------
 
-def linear_hm():
-    """h(x, t) = (1-t) theta(t) (x - 2) + t x with a single constant sample.
+def linear_hm(root=2.0, half_width=9.0):
+    """h(x, t) = (1-t) theta(t) (x - root) + t x with a single constant
+    sample, on the box [-half_width, half_width].
 
-    Root for fixed t: x(t) = 2 (1-t) theta / ((1-t) theta + t).
+    Root for fixed t: x(t) = root (1-t) theta / ((1-t) theta + t).
     """
     sys_ = StochasticSystem(
         n=1, m=1,
-        residual=lambda x, xis: np.repeat(x[None, :] - 2.0, xis.shape[0], axis=0),
-        jacobian=lambda x, xis, w: (np.repeat(x[None, :] - 2.0, xis.shape[0], axis=0),
+        residual=lambda x, xis: np.repeat(x[None, :] - root, xis.shape[0], axis=0),
+        jacobian=lambda x, xis, w: (np.repeat(x[None, :] - root, xis.shape[0], axis=0),
                                     w.sum() * np.ones((1, 1))),
-        box_lo=np.array([-9.0]), box_hi=np.array([9.0]), x0=np.array([0.0]))
+        box_lo=np.array([-half_width]), box_hi=np.array([half_width]),
+        x0=np.array([0.0]))
     bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
                     partition=Partition((1,)), schedule=make_schedule("uniform", 1))
     return HomotopyMap(blended=bm)
@@ -237,17 +239,9 @@ def test_step_size_stall_counts_every_rejection(monkeypatch):
 
 
 def test_path_leaving_the_guard_box_is_diverged():
-    # f = x - 100 has its root far outside the box [-1, 1]; the path
-    # x(t) = 100 (1 - t) leaves the guard box [-2, 2] on the way there
-    sys_ = StochasticSystem(
-        n=1, m=1,
-        residual=lambda x, xis: np.repeat(x[None, :] - 100.0, xis.shape[0], axis=0),
-        jacobian=lambda x, xis, w: (np.repeat(x[None, :] - 100.0, xis.shape[0], axis=0),
-                                    w.sum() * np.ones((1, 1))),
-        box_lo=np.array([-1.0]), box_hi=np.array([1.0]), x0=np.array([0.0]))
-    bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
-                    partition=Partition((1,)), schedule=make_schedule("uniform", 1))
-    result = trace(HomotopyMap(blended=bm))
+    # f = x - 100 has its root far outside the box [-1, 1]; the path leaves
+    # the guard box [-2, 2] on the way there
+    result = trace(linear_hm(root=100.0, half_width=1.0))
     assert result.status == "diverged-out-of-box"
     assert result.counters["predictor_steps"] == 16
     assert result.x_star[0] > 2.0 and result.t_star > 0.0
