@@ -2,16 +2,18 @@
 standard homotopy, L = 1, when it is among them) and the coercivity
 diagnostic.
 
-A run splits N samples into L nested groups q_l = round(l*N/L); the paper's
-linear groups q_l = tau1*l are N = tau1*L.
+A run's schedule pairs each of its L + 1 nodes t_l with the number q_l of
+samples the map averages there, q_l = round(l*N/L); the paper's linear
+groups q_l = tau1*l are N = tau1*L.
 
 Configs are flat key=value text files; command-line flags override file
 values.  Every artifact directory receives the fully resolved config next to
 the outputs, so a run can be replayed bit-identically (wall-time fields
 aside).
 
-Exit codes: 0 converged, 2 solver failure, 3 config error (unknown flags
-and ill-typed flag values included).
+Exit codes: 0 converged, 2 solver failure, 3 config error (unknown flags,
+ill-typed flag values, a key set twice in one file, and a coercivity check
+asked of a constrained problem included).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import problems
 from .saa import check_coercivity
-from .sampling import draw_samples, partition_uniform
+from .sampling import draw_samples
 from .schedule import make_schedule
 from .tracer import path_to_csv, trace
 
@@ -56,6 +58,7 @@ class RunConfig:
     def from_kv(text: str) -> "RunConfig":
         cfg = RunConfig()
         casts = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+        seen = {}  # key -> the line that set it
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -65,6 +68,10 @@ class RunConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in casts:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"line {lineno}: key {key!r} already set "
+                                 f"on line {seen[key]}")
+            seen[key] = lineno
             setattr(cfg, key, _cast(key, val, casts[key]))
         return cfg
 
@@ -84,23 +91,19 @@ def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
     if cfg.seed < 0:
         raise ValueError(f"seed={cfg.seed}: need a seed >= 0")
     inst = problems.get_instance(cfg.problem, cfg.n)
-    part = partition_uniform(cfg.N, L)
+    sched = make_schedule(cfg.schedule, cfg.N, L)
     samples = draw_samples(inst.distribution, cfg.N, seed=seed)
-    sched = make_schedule(cfg.schedule, L)
     alpha = None
     if cfg.alpha:
         alpha = np.array([_cast("alpha", v, float) for v in cfg.alpha.split(",")])
-    hm = problems.build_homotopy(inst, samples, part, sched, alpha=alpha)
+    hm = problems.build_homotopy(inst, samples, sched, alpha=alpha)
     return inst, hm
 
 
-def _write_artifacts(outdir: Path, cfg: RunConfig, summary: dict,
-                     result=None) -> None:
+def _write_artifacts(outdir: Path, cfg: RunConfig, summary: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.resolved").write_text(cfg.to_kv())
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    if result is not None:
-        path_to_csv(result, outdir / "path.csv")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -120,7 +123,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         "wall_time_s": wall,
         "config": asdict(cfg),
     }
-    _write_artifacts(Path(cfg.out), cfg, summary, result)
+    outdir = Path(cfg.out)
+    _write_artifacts(outdir, cfg, summary)
+    path_to_csv(result, hm.blended.schedule, outdir / "path.csv")
     print(f"{result.status}: t*={result.t_star:.3g} "
           f"x*={np.array2string(result.x_star, precision=6)} "
           f"saa_residual={result.saa_residual:.3e} "
@@ -133,7 +138,7 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
         raise ValueError(f"sweep-l needs reps >= 1, got {cfg.reps}")
     L_list = [_cast("L_values", v, int) for v in cfg.L_values.split(",")]
     for L in L_list:  # refuse any L before the first trace
-        partition_uniform(cfg.N, L)
+        make_schedule(cfg.schedule, cfg.N, L)
     rows = []
     status = "converged"  # or the status of the first failed solve
     for L in L_list:
@@ -181,6 +186,11 @@ def cmd_sweep_l(cfg: RunConfig) -> int:
 
 def cmd_diagnose_coercivity(cfg: RunConfig) -> int:
     inst, hm = build_run(cfg)
+    if hm.M:
+        raise ValueError(
+            f"diagnose-coercivity checks unconstrained maps only: problem "
+            f"{cfg.problem!r} has M = {hm.M} constraints B x <= b, and block 2 "
+            f"of its map keeps B x < b, which already confines x")
     report = check_coercivity(hm.blended)
     _write_artifacts(Path(cfg.out), cfg, {**report, "config": asdict(cfg)})
     word = "WARNING: condition violated on tested set" if report["warning"] else "ok"

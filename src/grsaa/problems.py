@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from .homotopy import HomotopyMap
 from .newton import damped_newton
 from .saa import BlendedMap, StochasticSystem
-from .sampling import Partition, SampleSet, UniformBox
+from .sampling import SampleSet, UniformBox
 from .schedule import NodeSchedule
 
 __all__ = [
@@ -48,10 +48,9 @@ class ProblemInstance:
 
 
 def build_homotopy(inst: ProblemInstance, samples: SampleSet,
-                   partition: Partition, schedule: NodeSchedule,
+                   schedule: NodeSchedule,
                    alpha: np.ndarray | None = None) -> HomotopyMap:
-    bm = BlendedMap(system=inst.system, samples=samples,
-                    partition=partition, schedule=schedule)
+    bm = BlendedMap(system=inst.system, samples=samples, schedule=schedule)
     return HomotopyMap(blended=bm, alpha=alpha, B=inst.B, b=inst.b)
 
 

@@ -1,6 +1,8 @@
 """Gradually reinforced sample-average map d(x, t) with derivatives.
 
-On segment l the map blends the cumulative sample averages f^{l-1} and f^l:
+On segment l the map blends the cumulative sample averages f^{l-1} and f^l,
+f^l being the average over the first q_l samples, where the schedule pairs
+each node t_l with its size q_l (q_0 = 0, so f^0 = 0):
 
     d(x, t) = (1 - theta_l(t)) f^{l-1}(x) + theta_l(t) f^l(x)
 
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import Partition, SampleSet
+from .sampling import SampleSet
 from .schedule import NodeSchedule
 
 __all__ = ["StochasticSystem", "BlendedMap", "check_coercivity"]
@@ -70,7 +72,7 @@ class StochasticSystem:
 
 @dataclass
 class BlendedMap:
-    """Binds a system to samples, a partition and a node schedule.
+    """Binds a system to samples and a sample-size schedule.
 
     eval_counter counts single-sample residual evaluations made by evaluate
     and sample_average; jac_counter separately counts per-sample Jacobian
@@ -79,22 +81,19 @@ class BlendedMap:
 
     system: StochasticSystem
     samples: SampleSet
-    partition: Partition
     schedule: NodeSchedule
     eval_counter: int = 0
     jac_counter: int = 0
 
     def __post_init__(self):
-        if self.partition.L != self.schedule.L:
-            raise ValueError("partition and schedule must have the same L")
-        if self.partition.N != self.samples.N:
-            raise ValueError("partition terminal size must equal the sample count")
+        if self.schedule.N != self.samples.N:
+            raise ValueError("schedule terminal size must equal the sample count")
         if self.samples.m != self.system.m:
             raise ValueError("sample dimension does not match the system")
 
     @property
     def L(self) -> int:
-        return self.partition.L
+        return self.schedule.L
 
     # -- residual passes ---------------------------------------------------
 
@@ -122,12 +121,12 @@ class BlendedMap:
         return vals, jac
 
     def sample_average(self, ell: int, x: np.ndarray) -> np.ndarray:
-        """Cumulative group average f^l(x); f^0 is identically zero and free."""
+        """Average f^l(x) of the first q_l samples; f^0 is zero and free."""
         if not 0 <= ell <= self.L:
             raise ValueError(f"group index {ell} outside 0..{self.L}")
         if ell == 0:
             return np.zeros(self.system.n)
-        q = self.partition.q[ell - 1]
+        q = self.schedule.q[ell]
         return self._residual_block(x, q)[0].sum(axis=0) / q
 
     # -- blended map and derivatives --------------------------------------
@@ -143,23 +142,16 @@ class BlendedMap:
         """
         x = np.asarray(x, dtype=float)
         ell, th, thp = self.schedule.blend(t)
-        q_hi = self.partition.q[ell - 1]
-        q_lo = self.partition.q[ell - 2] if ell >= 2 else 0
+        q_lo, q_hi = self.schedule.q[ell - 1], self.schedule.q[ell]
+        # on segment 1, q_lo = 0: the head slices are empty and f^0 is +0.0
         w = np.full(q_hi, th / q_hi)
-        if q_lo > 0:
-            w[:q_lo] += (1.0 - th) / q_lo
+        w[:q_lo] += (1.0 - th) / max(q_lo, 1)
         vals, dd_dx = self._residual_block(x, q_hi, w)
-        f_lo, f_hi = _head_and_mean(vals, q_lo)
+        f_lo = vals[:q_lo].sum(axis=0) / max(q_lo, 1)
+        f_hi = vals.sum(axis=0) / q_hi
         d = (1.0 - th) * f_lo + th * f_hi
         dd_dt = thp * (f_hi - f_lo)
         return d, dd_dt, dd_dx
-
-
-def _head_and_mean(vals: np.ndarray, q_lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mean of the first q_lo rows, mean of all rows); an empty head is 0."""
-    head = (vals[:q_lo].sum(axis=0) / q_lo if q_lo > 0
-            else np.zeros(vals.shape[1]))
-    return head, vals.sum(axis=0) / vals.shape[0]
 
 
 def check_coercivity(bm: BlendedMap) -> dict:

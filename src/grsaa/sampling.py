@@ -1,4 +1,4 @@
-"""Seeded i.i.d. sample generation and cumulative partitioning.
+"""Seeded i.i.d. sample generation.
 
 The sample stream is produced by numpy's PCG64 generator: one generator per
 draw, a single uniform block of shape (N, m) consumed in row order.  This
@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "UniformBox",
-    "SampleSet",
-    "Partition",
-    "draw_samples",
-    "partition_uniform",
-]
+__all__ = ["UniformBox", "SampleSet", "draw_samples"]
 
 
 @dataclass(frozen=True)
@@ -66,29 +60,6 @@ class SampleSet:
         return self.samples.shape[1]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing cumulative group sizes q_1 < ... < q_L = N."""
-
-    q: tuple[int, ...]
-
-    def __post_init__(self):
-        q = tuple(int(v) for v in self.q)
-        if len(q) == 0 or q[0] <= 0:
-            raise ValueError("partition must start with a positive group size")
-        if any(b <= a for a, b in zip(q, q[1:])):
-            raise ValueError("partition must be strictly increasing")
-        object.__setattr__(self, "q", q)
-
-    @property
-    def L(self) -> int:
-        return len(self.q)
-
-    @property
-    def N(self) -> int:
-        return self.q[-1]
-
-
 def draw_samples(distribution: UniformBox, N: int, seed: int) -> SampleSet:
     """Draw N i.i.d. samples from the box-uniform distribution.
 
@@ -102,17 +73,4 @@ def draw_samples(distribution: UniformBox, N: int, seed: int) -> SampleSet:
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((N, distribution.m))
     return SampleSet(samples=lo + (hi - lo) * u)
-
-
-def partition_uniform(N: int, L: int) -> Partition:
-    """Equal-size cumulative partition: q_l = round(l*N/L), pinned to q_L = N.
-
-    For 1 <= L <= N consecutive values differ by N/L >= 1, so they strictly
-    increase from q_1 >= 1, and q_{L-1} = round(N - N/L) <= N - 1.  With
-    N = tau1*L the quotient is exact, q_l = tau1*l: linear group growth."""
-    if L <= 0 or L > N:
-        raise ValueError(f"need 1 <= L <= N, got L={L}, N={N}")
-    q = [int(round(ell * N / L)) for ell in range(1, L + 1)]
-    q[-1] = N
-    return Partition(tuple(q))
 

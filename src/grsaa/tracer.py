@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homotopy import HomotopyMap
+from .schedule import NodeSchedule
 
 __all__ = ["TraceConfig", "PathPoint", "TraceResult", "tangent", "correct",
            "trace", "path_to_csv"]
@@ -231,12 +232,15 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     return finish("max_steps")
 
 
-def path_to_csv(result: TraceResult, path) -> None:
+def path_to_csv(result: TraceResult, schedule: NodeSchedule, path) -> None:
     """Trace export: step, t, ||u||, residual, step_len, corrector_iters,
-    cumulative sample evaluations."""
+    cumulative sample evaluations, and the schedule's segment l at t with
+    its sample size q_l, the samples one evaluation there costs."""
     with open(path, "w") as fh:
-        fh.write("step,t,norm_u,residual,step_len,corrector_iters,cum_sample_evals\n")
+        fh.write("step,t,norm_u,residual,step_len,corrector_iters,"
+                 "cum_sample_evals,segment,q\n")
         for i, p in enumerate(result.path):
+            ell = schedule.blend(p.t)[0]
             fh.write(f"{i},{p.t:.17g},{np.linalg.norm(p.u):.17g},"
                      f"{p.residual:.17g},{p.step_len:.17g},{p.corrector_iters},"
-                     f"{p.cum_sample_evals}\n")
+                     f"{p.cum_sample_evals},{ell},{schedule.q[ell]}\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grsaa.homotopy import transform_derivs
-from grsaa.sampling import draw_samples, partition_uniform
+from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
 from grsaa.tracer import TraceConfig, trace
@@ -18,8 +18,7 @@ from grsaa import problems as P
 def run_trace(problem, n, N, L, seed, schedule="uniform"):
     inst = P.get_instance(problem, n)
     samples = draw_samples(inst.distribution, N, seed=seed)
-    hm = P.build_homotopy(inst, samples, partition_uniform(N, L),
-                          make_schedule(schedule, L))
+    hm = P.build_homotopy(inst, samples, make_schedule(schedule, N, L))
     return hm, trace(hm)
 
 
@@ -110,8 +109,7 @@ def test_criterion_6_invariant_suite():
         inst = P.get_instance(problem, n)
         samples = draw_samples(inst.distribution, 10 ** 4, seed=2)
         bm = BlendedMap(system=inst.system, samples=samples,
-                        partition=partition_uniform(10 ** 4, L),
-                        schedule=make_schedule("uniform", L))
+                        schedule=make_schedule("uniform", 10 ** 4, L))
         x = inst.system.x0
         for ell in range(1, L):
             node = bm.schedule.nodes[ell]
@@ -123,8 +121,7 @@ def test_criterion_6_invariant_suite():
     for problem, n in (("sin", 3), ("svi", 2)):
         inst = P.get_instance(problem, n)
         samples = draw_samples(inst.distribution, 200, seed=3)
-        hm = P.build_homotopy(inst, samples, partition_uniform(200, 4),
-                              make_schedule("uniform", 4))
+        hm = P.build_homotopy(inst, samples, make_schedule("uniform", 200, 4))
         nodes = np.asarray(hm.blended.schedule.nodes)
         checked = 0
         while checked < 25:
@@ -156,8 +153,8 @@ def test_criterion_6_invariant_suite():
     inst = P.sin_instance(3)
     samples = draw_samples(inst.distribution, 500, seed=4)
     for alpha in (None, np.array([1.0, -2.0, 0.5])):
-        hm = P.build_homotopy(inst, samples, partition_uniform(500, 5),
-                              make_schedule("uniform", 5), alpha=alpha)
+        hm = P.build_homotopy(inst, samples, make_schedule("uniform", 500, 5),
+                              alpha=alpha)
         for _ in range(10):
             x = rng.uniform(-2, 2, 3)
             assert np.array_equal(value(hm, x, 1.0), x - hm.x0)

@@ -76,18 +76,25 @@ def test_experiment_configs_load_and_build():
 
 
 def test_invalid_config_key_is_exit_3(tmp_path, capsys):
-    # a misspelt key, and step-control, partition and schedule keys that
-    # older runs wrote
-    for i, line in enumerate(("problme=sin\n", "h0=0.01\n",
-                              "partition=linear\n", "tau1=500\n",
-                              "tau0=7000\n", "sched_seed=1\n")):
+    # a misspelt key, step-control, partition and schedule keys that older
+    # runs wrote, and a key set twice (the later value would win silently)
+    for i, (text, message) in enumerate((
+            ("problme=sin\n", "unknown key 'problme'"),
+            ("h0=0.01\n", "unknown key 'h0'"),
+            ("partition=linear\n", "unknown key 'partition'"),
+            ("tau1=500\n", "unknown key 'tau1'"),
+            ("tau0=7000\n", "unknown key 'tau0'"),
+            ("sched_seed=1\n", "unknown key 'sched_seed'"),
+            ("N=100\nL=2\n# later\nN=10000\n",
+             "line 4: key 'N' already set on line 1"))):
         bad = tmp_path / f"bad{i}.cfg"
-        bad.write_text(line)
+        bad.write_text(text)
         out = tmp_path / f"out{i}"
         code = run(["solve", "--config", str(bad), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()  # no artifacts on config failure
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
 
 def test_config_line_without_equals_is_exit_3(tmp_path, capsys):
@@ -272,3 +279,17 @@ def test_diagnose_coercivity_in_high_dimension_exits_0(tmp_path, capsys):
     assert summary["boundary_points"] == 28 * 256
     assert not summary["warning"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem, n", [("market", "3"), ("svi", "2")])
+def test_diagnose_coercivity_refuses_constrained_problems(tmp_path, capsys,
+                                                          problem, n):
+    # the check tests the raw kernel on the box; a constrained map is
+    # confined by block 2 instead, so a verdict would describe another map
+    out = tmp_path / "diag"
+    code = run(["diagnose-coercivity", "--problem", problem, "--n", n,
+                "--N", "50", "--L", "2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "B x <= b" in err and "confines x" in err

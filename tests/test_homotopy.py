@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 from grsaa.homotopy import KAPPA0, HomotopyMap, solve_start_y, transform_derivs
-from grsaa.sampling import draw_samples, partition_uniform
+from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
 from grsaa import problems as P
@@ -14,8 +14,7 @@ def plain_map(n=3, N=120, L=4, seed=0, alpha=None):
     inst = P.sin_instance(n)
     samples = draw_samples(inst.distribution, N, seed=seed)
     bm = BlendedMap(system=inst.system, samples=samples,
-                    partition=partition_uniform(N, L),
-                    schedule=make_schedule("uniform", L))
+                    schedule=make_schedule("uniform", N, L))
     return HomotopyMap(blended=bm, alpha=alpha)
 
 
@@ -23,8 +22,7 @@ def kkt_map(problem="svi", n=2, N=120, L=4, seed=0, alpha=None):
     inst = P.get_instance(problem, n)
     samples = draw_samples(inst.distribution, N, seed=seed)
     bm = BlendedMap(system=inst.system, samples=samples,
-                    partition=partition_uniform(N, L),
-                    schedule=make_schedule("uniform", L))
+                    schedule=make_schedule("uniform", N, L))
     return HomotopyMap(blended=bm, alpha=alpha, B=inst.B, b=inst.b)
 
 
@@ -84,7 +82,7 @@ def test_evaluate_is_one_pass_per_point():
         bm = hm.blended
         u = hm.start_point() + 0.1
         t = 0.6
-        q = bm.partition.q[bm.schedule.blend(t)[0] - 1]
+        q = bm.schedule.q[bm.schedule.blend(t)[0]]
         evals, jacs = bm.eval_counter, bm.jac_counter
         hm.evaluate(u, t)
         assert (bm.eval_counter - evals, bm.jac_counter - jacs) == (q, q)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
-from grsaa.sampling import draw_samples, partition_uniform
+from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
 from grsaa.tracer import trace
@@ -95,8 +95,7 @@ def test_ces_clip_is_reported_once_per_solve():
     inst = P.market_instance()
     samples = draw_samples(inst.distribution, 10 ** 4, seed=32)
     assert samples.samples[9616, 0] > 1.0 - 1e-6
-    hm = P.build_homotopy(inst, samples, partition_uniform(10 ** 4, 100),
-                          make_schedule("uniform", 100))
+    hm = P.build_homotopy(inst, samples, make_schedule("uniform", 10 ** 4, 100))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         result = trace(hm)
@@ -157,8 +156,7 @@ def market_bm(N=20000, seed=0):
     inst = P.market_instance()
     samples = draw_samples(inst.distribution, N, seed=seed)
     return BlendedMap(system=inst.system, samples=samples,
-                      partition=partition_uniform(N, 1),
-                      schedule=make_schedule("uniform", 1))
+                      schedule=make_schedule("uniform", N, 1))
 
 
 def test_market_verify_accepts_the_equilibrium():
@@ -288,8 +286,7 @@ def test_svi_trace_agrees_with_oracle(n):
     inst = P.svi_instance(n)
     N, L = 10 ** 4, 1000
     samples = draw_samples(inst.distribution, N, seed=0)
-    hm = P.build_homotopy(inst, samples, partition_uniform(N, L),
-                          make_schedule("uniform", L))
+    hm = P.build_homotopy(inst, samples, make_schedule("uniform", N, L))
     result = trace(hm)
     assert result.status == "converged"
     oracle = P.oracle_solve(inst, np.ones(n))

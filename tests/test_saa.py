@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
+from grsaa.sampling import SampleSet, draw_samples
 from grsaa.saa import BlendedMap, StochasticSystem, check_coercivity
-from grsaa.schedule import make_schedule
+from grsaa.schedule import NodeSchedule, make_schedule
 from grsaa import problems as P
 
 
@@ -23,16 +23,14 @@ def identity_in_xi_system():
 def tiny_map():
     samples = SampleSet(np.array([[0.2], [-0.4], [0.8]]))
     return BlendedMap(system=identity_in_xi_system(), samples=samples,
-                      partition=Partition((2, 3)),
-                      schedule=make_schedule("uniform", 2))
+                      schedule=make_schedule("uniform", 3, 2))
 
 
 def sin_map(n=3, N=300, L=4, seed=0):
     inst = P.sin_instance(n)
     samples = draw_samples(inst.distribution, N, seed=seed)
     return BlendedMap(system=inst.system, samples=samples,
-                      partition=partition_uniform(N, L),
-                      schedule=make_schedule("uniform", L))
+                      schedule=make_schedule("uniform", N, L))
 
 
 def test_group_averages_by_hand():
@@ -77,8 +75,8 @@ def test_blend_values_agree_across_adjacent_segments():
 def test_eval_counter_counts_active_group():
     bm = sin_map(N=100, L=4)
     x = np.zeros(3)
-    for t, expect in ((0.9, bm.partition.q[0]), (0.6, bm.partition.q[1]),
-                      (0.0, bm.partition.q[3])):
+    for t, expect in ((0.9, bm.schedule.q[1]), (0.6, bm.schedule.q[2]),
+                      (0.0, bm.schedule.q[4])):
         before = bm.eval_counter
         bm.evaluate(x, t)
         assert bm.eval_counter - before == expect
@@ -159,11 +157,11 @@ def test_statistical_consistency_of_full_average():
 
 
 def test_mismatched_partition_and_schedule_rejected():
-    samples = draw_samples(P.sin_instance(1).distribution, 10, seed=0)
-    with pytest.raises(ValueError):
-        BlendedMap(system=P.sin_instance(1).system, samples=samples,
-                   partition=partition_uniform(10, 2),
-                   schedule=make_schedule("uniform", 3))
+    # sizes for two segments on three-segment nodes: the schedule that pairs
+    # them refuses the mismatch before any map is built
+    with pytest.raises(ValueError, match="one sample size per node"):
+        NodeSchedule(nodes=make_schedule("uniform", 10, 3).nodes,
+                     q=make_schedule("uniform", 10, 2).q)
 
 
 def _system(**changes):
@@ -176,8 +174,7 @@ def _system(**changes):
 def _map(system=None, samples=None):
     return BlendedMap(system=system or _system(),
                       samples=samples or SampleSet(np.zeros((4, 1))),
-                      partition=Partition((2, 4)),
-                      schedule=make_schedule("uniform", 2))
+                      schedule=make_schedule("uniform", 4, 2))
 
 
 @pytest.mark.parametrize("build, match", [
@@ -206,8 +203,7 @@ def test_nonfinite_residual_reports_sample_index():
                             x0=np.array([0.0]))
     samples = SampleSet(np.zeros((6, 1)))
     bm = BlendedMap(system=sys_, samples=samples,
-                    partition=Partition((6,)),
-                    schedule=make_schedule("uniform", 1))
+                    schedule=make_schedule("uniform", 6, 1))
     with pytest.raises(FloatingPointError, match="sample index 3"):
         bm.sample_average(1, np.zeros(1))
     # the fused (F, J) pass checks F the same way and counts nothing
@@ -225,8 +221,7 @@ def problem_maps():
         samples = draw_samples(inst.distribution, 400, seed=1)
         samples.samples[150] = 1.0 - 1e-9
         yield BlendedMap(system=inst.system, samples=samples,
-                         partition=partition_uniform(400, 4),
-                         schedule=make_schedule("uniform", 4))
+                         schedule=make_schedule("uniform", 400, 4))
 
 
 def points(bm, rng):
@@ -289,8 +284,7 @@ def test_evaluate_jacobian_blends_per_sample_jacobians():
             n = bm.system.n
             for x, t in points(bm, rng):
                 ell, th, _ = bm.schedule.blend(t)
-                q_hi = bm.partition.q[ell - 1]
-                q_lo = bm.partition.q[ell - 2] if ell >= 2 else 0
+                q_lo, q_hi = bm.schedule.q[ell - 1], bm.schedule.q[ell]
                 xis = bm.samples.samples[:q_hi]
                 fd = np.empty((q_hi, n, n))
                 for j, step in enumerate(h * np.eye(n)):
@@ -311,8 +305,8 @@ def coercive_map(sign):
         box_lo=np.array([-1.0, -1.0]), box_hi=np.array([1.0, 1.0]),
         x0=np.zeros(2))
     samples = SampleSet(np.zeros((4, 1)))
-    return BlendedMap(system=sys_, samples=samples, partition=Partition((4,)),
-                      schedule=make_schedule("uniform", 1))
+    return BlendedMap(system=sys_, samples=samples,
+                      schedule=make_schedule("uniform", 4, 1))
 
 
 def test_coercivity_diagnostic_sign():

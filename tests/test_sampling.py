@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from grsaa.sampling import (Partition, SampleSet, UniformBox, draw_samples,
-                            partition_uniform)
+from grsaa.sampling import SampleSet, UniformBox, draw_samples
 
 U11 = UniformBox.scalar(-1.0, 1.0)
 
@@ -59,43 +57,3 @@ def test_multivariate_box():
     assert s.samples.shape == (100, 2)
     assert np.all(s.samples[:, 0] <= 1.0) and np.all(s.samples[:, 1] >= -2.0)
 
-
-def test_partition_uniform_even_split():
-    assert partition_uniform(10, 5).q == (2, 4, 6, 8, 10)
-    assert partition_uniform(5, 5).q == (1, 2, 3, 4, 5)
-
-
-def test_partition_uniform_rounding():
-    assert partition_uniform(7, 3).q == (2, 5, 7)
-
-
-def test_partition_uniform_rejects_bad_L():
-    with pytest.raises(ValueError):
-        partition_uniform(5, 6)
-    with pytest.raises(ValueError):
-        partition_uniform(5, 0)
-
-
-def test_partition_uniform_of_tau1_L_is_linear():
-    # the paper's linear groups q_l = tau1 * l are the uniform partition of N = tau1 * L
-    for tau1, L in ((500, 3), (1, 4), (2, 1)):
-        assert partition_uniform(tau1 * L, L).q == tuple(tau1 * ell
-                                                        for ell in range(1, L + 1))
-
-
-def test_partition_invariants_enforced():
-    with pytest.raises(ValueError):
-        Partition((3, 3, 5))
-    with pytest.raises(ValueError):
-        Partition((0, 2))
-
-
-@given(N=st.integers(1, 500), L=st.integers(1, 500))
-def test_partition_uniform_always_valid(N, L):
-    if L > N:
-        with pytest.raises(ValueError):
-            partition_uniform(N, L)
-        return
-    p = partition_uniform(N, L)
-    assert p.L == L and p.N == N
-    assert all(b > a for a, b in zip((0,) + p.q, p.q))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grsaa.homotopy import HomotopyMap
-from grsaa.sampling import Partition, SampleSet, draw_samples, partition_uniform
+from grsaa.sampling import SampleSet, draw_samples
 from grsaa.saa import BlendedMap, StochasticSystem
 from grsaa.schedule import make_schedule
 from grsaa.tracer import TraceConfig, correct, path_to_csv, tangent, trace
@@ -13,8 +13,7 @@ from grsaa import tracer
 def make_hm(problem="sin", n=3, N=1500, L=4, seed=0, schedule="uniform"):
     inst = P.get_instance(problem, n)
     samples = draw_samples(inst.distribution, N, seed=seed)
-    return P.build_homotopy(inst, samples, partition_uniform(N, L),
-                            make_schedule(schedule, L))
+    return P.build_homotopy(inst, samples, make_schedule(schedule, N, L))
 
 
 # -- tangent -----------------------------------------------------------------
@@ -66,7 +65,7 @@ def linear_hm(root=2.0, half_width=9.0):
         box_lo=np.array([-half_width]), box_hi=np.array([half_width]),
         x0=np.array([0.0]))
     bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
-                    partition=Partition((1,)), schedule=make_schedule("uniform", 1))
+                    schedule=make_schedule("uniform", 1, 1))
     return HomotopyMap(blended=bm)
 
 
@@ -253,17 +252,26 @@ def test_max_steps_is_reported():
 
 
 def test_path_csv_schema(tmp_path):
-    result = trace(make_hm(N=200, L=2))
+    hm = make_hm(N=200, L=2)
+    sched = hm.blended.schedule
+    result = trace(hm)
     out = tmp_path / "path.csv"
-    path_to_csv(result, out)
+    path_to_csv(result, sched, out)
     lines = out.read_text().splitlines()
     assert lines[0] == ("step,t,norm_u,residual,step_len,corrector_iters,"
-                        "cum_sample_evals")
+                        "cum_sample_evals,segment,q")
     assert len(lines) == 1 + len(result.path)
-    last = lines[-1].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    # every point names its segment and the samples one evaluation there costs
+    for row in rows:
+        ell = sched.blend(float(row[1]))[0]
+        assert (int(row[7]), int(row[8])) == (ell, sched.q[ell])
+    assert {int(row[7]) for row in rows} == {1, 2}
+    last = rows[-1]
     assert float(last[1]) == result.t_star
-    # the terminal row carries the landing's Newton iterations
+    # the terminal row carries the landing's Newton iterations, at full N
     assert int(last[5]) == result.path[-1].corrector_iters > 0
+    assert (int(last[7]), int(last[8])) == (2, 200)
 
 
 def test_config_validation():
