@@ -4,7 +4,9 @@ homotopy map, from the known solution at t = 1 down to t = 0.
 The kernel is the classic one (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 3-4): unit tangent, first-order Euler predictor,
 Newton corrector, multiplicative step-length adaptation.  All of its linear
-algebra is one bordered solve with [J; row], J the full (u, t)-Jacobian:
+algebra is one bordered solve with [J; row], J the full (u, t)-Jacobian,
+from one LU factorization that also gives LAPACK's 1-norm condition
+estimate; a near-singular or non-finite bordered matrix is refused:
 - the tangent borders with the previous tangent and solves for the
   right-hand side e_{d+1}; the first step borders with -e_t, where
   e_t = (0, ..., 0, 1), so that t starts to decrease;
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .homotopy import HomotopyMap
 from .schedule import NodeSchedule
@@ -87,12 +90,23 @@ class TraceResult:
 
 def _bordered_solve(J: np.ndarray, row: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray | None:
-    """Solution z of [J; row] z = rhs, or None when the bordered matrix is
-    not finite or its 2-norm condition number exceeds _COND_LIMIT."""
+    """Solution z of [J; row] z = rhs, or None when the bordered matrix A is
+    near-singular.
+
+    One LU factorization of A (dgetrf) gives both the solve (dgetrs) and
+    dgecon's estimate rcond of 1 / cond_1(A) from ||A||_1.  The solve is
+    refused when a pivot is exactly zero or rcond * _COND_LIMIT < 1; a NaN
+    or inf entry makes ||A||_1, and so rcond, NaN or 0 and is refused too.
+    """
     A = np.vstack([J, row])
-    if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _COND_LIMIT:
+    norm1 = np.abs(A).sum(axis=0).max()
+    lu, piv, info = dgetrf(A)
+    if info != 0:
         return None
-    return np.linalg.solve(A, rhs)
+    rcond = dgecon(lu, norm1)[0]
+    if not rcond * _COND_LIMIT >= 1.0:  # also false for a NaN rcond
+        return None
+    return dgetrs(lu, piv, rhs)[0]
 
 
 def tangent(J: np.ndarray, prev: np.ndarray) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf
 
 from grsaa.homotopy import HomotopyMap
 from grsaa.sampling import SampleSet, draw_samples
@@ -47,6 +48,49 @@ def test_tangent_follows_previous_orientation():
 
 def test_tangent_rejects_rank_deficiency():
     assert tangent(np.zeros((2, 3)), prev=minus_e_t(3)) is None
+
+
+# -- bordered solve ------------------------------------------------------------
+
+def bordered(A):
+    """_bordered_solve on the square A split into [J; row], rhs all ones."""
+    return tracer._bordered_solve(A[:-1], A[-1], np.ones(A.shape[0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (3, 3)])
+def test_bordered_solve_refuses_nonfinite_entries(bad, where):
+    A = np.eye(4) + 0.1
+    A[where] = bad
+    assert bordered(A) is None
+
+
+def test_bordered_solve_refuses_exactly_singular_matrix():
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+    assert dgetrf(A)[2] > 0  # an exactly zero pivot, not the estimate
+    assert bordered(A) is None
+
+
+@pytest.mark.parametrize("size", [2, 4, 10])
+def test_bordered_solve_condition_threshold(size):
+    # cond_1 = 1e13 is past _COND_LIMIT = 1e12, cond_1 = 1e11 is inside it
+    small = np.ones(size)
+    small[-1] = 1e-13
+    assert bordered(np.diag(small)) is None
+    small[-1] = 1e-11
+    z = bordered(np.diag(small))
+    assert z is not None and np.allclose(z, 1.0 / small, rtol=1e-15)
+
+
+@pytest.mark.parametrize("size", range(2, 11))
+def test_bordered_solve_matches_numpy(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        A = rng.normal(size=(size, size)) + size * np.eye(size)
+        rhs = rng.normal(size=size)
+        z = tracer._bordered_solve(A[:-1], A[-1], rhs)
+        ref = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # -- corrector on a closed-form path ----------------------------------------
