@@ -10,7 +10,8 @@ Because the first q_{l-1} samples are a prefix of the first q_l, one pass
 over q_l samples yields both averages, hence d and its t-derivative; an
 evaluation at (x, t) therefore costs exactly q_l single-sample residual
 evaluations, which is the machine-independent efficiency metric used
-throughout.  That one pass is the system's fused `jacobian` kernel, since
+throughout.  The one exception is t = 1, where theta = 0 puts no weight on
+the q_1 samples: d = f^0 = 0 there, and the evaluation costs nothing.  That one pass is the system's fused `jacobian` kernel, since
 every evaluation also needs dd/dx = (1 - theta) J^{l-1} + theta J^l.  It is
 one weighted sum sum_k w_k J_k of the per-sample Jacobians, so the kernel
 takes the weights w and returns the residual rows with that (n, n) sum; the
@@ -135,7 +136,7 @@ class BlendedMap:
         """(d, dd/dt, dd/dx) at (x, t) on the segment containing t.
 
         One pass of the system's fused `jacobian` kernel over the first q_l
-        samples gives d, dd/dt = theta_l'(t) (f^l - f^{l-1}), which is
+        samples (none at t = 1, where theta = 0) gives d, dd/dt = theta_l'(t) (f^l - f^{l-1}), which is
         exactly (signed) zero at nodes, and dd/dx = sum_k w_k J_k, where
         w_k = theta/q_l on every row plus (1 - theta)/q_{l-1} on the first
         q_{l-1}.
@@ -143,10 +144,14 @@ class BlendedMap:
         x = np.asarray(x, dtype=float)
         ell, th, thp = self.schedule.blend(t)
         q_lo, q_hi = self.schedule.q[ell - 1], self.schedule.q[ell]
+        # theta = 0 only at t = 1, where theta' = 0 too: the rows past q_lo
+        # weigh nothing, so they are not evaluated, and f_hi, which is then
+        # not the q_hi average, enters only times zero
+        q = q_hi if th > 0 else q_lo
         # on segment 1, q_lo = 0: the head slices are empty and f^0 is +0.0
-        w = np.full(q_hi, th / q_hi)
+        w = np.full(q, th / q_hi)
         w[:q_lo] += (1.0 - th) / max(q_lo, 1)
-        vals, dd_dx = self._residual_block(x, q_hi, w)
+        vals, dd_dx = self._residual_block(x, q, w)
         f_lo = vals[:q_lo].sum(axis=0) / max(q_lo, 1)
         f_hi = vals.sum(axis=0) / q_hi
         d = (1.0 - th) * f_lo + th * f_hi

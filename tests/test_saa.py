@@ -75,11 +75,14 @@ def test_blend_values_agree_across_adjacent_segments():
 def test_eval_counter_counts_active_group():
     bm = sin_map(N=100, L=4)
     x = np.zeros(3)
-    for t, expect in ((0.9, bm.schedule.q[1]), (0.6, bm.schedule.q[2]),
+    # at t = 1, theta = 0 weighs none of the q_1 samples, so none is evaluated
+    for t, expect in ((1.0, 0), (0.9, bm.schedule.q[1]), (0.6, bm.schedule.q[2]),
                       (0.0, bm.schedule.q[4])):
-        before = bm.eval_counter
+        before = bm.eval_counter, bm.jac_counter
         bm.evaluate(x, t)
-        assert bm.eval_counter - before == expect
+        assert (bm.eval_counter - before[0], bm.jac_counter - before[1]) == (expect, expect)
+    d, dd_dt, dd_dx = bm.evaluate(x, 1.0)
+    assert not np.any(d) and not np.any(dd_dt) and not np.any(dd_dx)
 
 
 def test_c1_join_derivative_vanishes_at_nodes():

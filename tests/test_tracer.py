@@ -188,6 +188,8 @@ def test_trace_starts_exactly_at_the_known_root():
     result = trace(make_hm(N=200, L=2))
     first = result.path[0]
     assert first.t == 1.0 and first.residual == 0.0
+    # the map at t = 1 weighs no sample, so the start costs none
+    assert first.cum_sample_evals == 0
     assert np.array_equal(first.u, make_hm(N=200, L=2).start_point())
 
 
