@@ -61,6 +61,7 @@ class PathPoint:
     corrector_iters: int
     residual: float
     cum_sample_evals: int = 0
+    cum_jac_evals: int = 0
 
 
 @dataclass
@@ -187,12 +188,17 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     guard_hi = sys_.box_hi + half
 
     evals0, jacs0 = bm.eval_counter, bm.jac_counter
+
+    def point(u, t, step_len, iters, res):
+        return PathPoint(u=u.copy(), t=t, step_len=step_len,
+                         corrector_iters=iters, residual=res,
+                         cum_sample_evals=bm.eval_counter - evals0,
+                         cum_jac_evals=bm.jac_counter - jacs0)
+
     u = hm.start_point()
     t = 1.0
     r, J = hm.evaluate(u, t)
-    res0 = float(np.linalg.norm(r, np.inf))
-    path = [PathPoint(u=u.copy(), t=t, step_len=0.0, corrector_iters=0,
-                      residual=res0, cum_sample_evals=bm.eval_counter - evals0)]
+    path = [point(u, t, 0.0, 0, float(np.linalg.norm(r, np.inf)))]
     counters = {"predictor_steps": 0, "rejected_steps": 0,
                 "corrector_iters_total": 0, "sample_evals": 0, "jac_evals": 0}
 
@@ -229,15 +235,11 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             continue
         u, t, iters, res0, J = hit
         if landing:
-            path.append(PathPoint(u=u.copy(), t=t_end, step_len=0.0,
-                                  corrector_iters=iters, residual=res0,
-                                  cum_sample_evals=bm.eval_counter - evals0))
+            path.append(point(u, t_end, 0.0, iters, res0))
             return finish("converged")
         counters["predictor_steps"] += 1
         counters["corrector_iters_total"] += iters
-        path.append(PathPoint(u=u.copy(), t=t, step_len=h, corrector_iters=iters,
-                              residual=res0,
-                              cum_sample_evals=bm.eval_counter - evals0))
+        path.append(point(u, t, h, iters, res0))
         prev_tau = tau
         if np.any(u[:n] < guard_lo) or np.any(u[:n] > guard_hi):
             return finish("diverged-out-of-box")
@@ -248,13 +250,15 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
 
 def path_to_csv(result: TraceResult, schedule: NodeSchedule, path) -> None:
     """Trace export: step, t, ||u||, residual, step_len, corrector_iters,
-    cumulative sample evaluations, and the schedule's segment l at t with
-    its sample size q_l, the samples one evaluation there costs."""
+    cumulative sample evaluations, the schedule's segment l at t with its
+    sample size q_l, the samples one evaluation there costs, and cumulative
+    per-sample Jacobian evaluations."""
     with open(path, "w") as fh:
         fh.write("step,t,norm_u,residual,step_len,corrector_iters,"
-                 "cum_sample_evals,segment,q\n")
+                 "cum_sample_evals,segment,q,cum_jac_evals\n")
         for i, p in enumerate(result.path):
             ell = schedule.blend(p.t)[0]
             fh.write(f"{i},{p.t:.17g},{np.linalg.norm(p.u):.17g},"
                      f"{p.residual:.17g},{p.step_len:.17g},{p.corrector_iters},"
-                     f"{p.cum_sample_evals},{ell},{schedule.q[ell]}\n")
+                     f"{p.cum_sample_evals},{ell},{schedule.q[ell]},"
+                     f"{p.cum_jac_evals}\n")

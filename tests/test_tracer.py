@@ -305,7 +305,7 @@ def test_path_csv_schema(tmp_path):
     path_to_csv(result, sched, out)
     lines = out.read_text().splitlines()
     assert lines[0] == ("step,t,norm_u,residual,step_len,corrector_iters,"
-                        "cum_sample_evals,segment,q")
+                        "cum_sample_evals,segment,q,cum_jac_evals")
     assert len(lines) == 1 + len(result.path)
     rows = [line.split(",") for line in lines[1:]]
     # every point names its segment and the samples one evaluation there costs
@@ -318,6 +318,9 @@ def test_path_csv_schema(tmp_path):
     # the terminal row carries the landing's Newton iterations, at full N
     assert int(last[5]) == result.path[-1].corrector_iters > 0
     assert (int(last[7]), int(last[8])) == (2, 200)
+    # the cumulative counts end at the solve's counters
+    assert int(last[6]) == result.counters["sample_evals"]
+    assert int(last[9]) == result.counters["jac_evals"]
 
 
 def test_config_validation():
