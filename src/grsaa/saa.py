@@ -11,11 +11,12 @@ over q_l samples yields both averages, hence d and its t-derivative; an
 evaluation at (x, t) therefore costs exactly q_l single-sample residual
 evaluations, which is the machine-independent efficiency metric used
 throughout.  The one exception is t = 1, where theta = 0 puts no weight on
-the q_1 samples: d = f^0 = 0 there, and the evaluation costs nothing.  That one pass is the system's fused `jacobian` kernel, since
-every evaluation also needs dd/dx = (1 - theta) J^{l-1} + theta J^l.  It is
-one weighted sum sum_k w_k J_k of the per-sample Jacobians, so the kernel
-takes the weights w and returns the residual rows with that (n, n) sum; the
-pass still counts q_l per-sample Jacobians.
+the q_1 samples: d = f^0 = 0 there, and the evaluation costs nothing.  That
+one pass is the system's fused `jacobian` kernel, since every evaluation
+also needs dd/dx = (1 - theta) J^{l-1} + theta J^l.  It is one weighted sum
+sum_k w_k J_k of the per-sample Jacobians, so the kernel takes the weights w
+and returns the residual rows with that (n, n) sum; the pass still counts
+q_l per-sample Jacobians.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ class BlendedMap:
         """(d, dd/dt, dd/dx) at (x, t) on the segment containing t.
 
         One pass of the system's fused `jacobian` kernel over the first q_l
-        samples (none at t = 1, where theta = 0) gives d, dd/dt = theta_l'(t) (f^l - f^{l-1}), which is
-        exactly (signed) zero at nodes, and dd/dx = sum_k w_k J_k, where
-        w_k = theta/q_l on every row plus (1 - theta)/q_{l-1} on the first
-        q_{l-1}.
+        samples (none at t = 1, where theta = 0) gives d,
+        dd/dt = theta_l'(t) (f^l - f^{l-1}), which is exactly (signed) zero
+        at nodes, and dd/dx = sum_k w_k J_k, where w_k = theta/q_l on every
+        row plus (1 - theta)/q_{l-1} on the first q_{l-1}.
         """
         x = np.asarray(x, dtype=float)
         ell, th, thp = self.schedule.blend(t)

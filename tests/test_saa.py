@@ -76,11 +76,11 @@ def test_eval_counter_counts_active_group():
     bm = sin_map(N=100, L=4)
     x = np.zeros(3)
     # at t = 1, theta = 0 weighs none of the q_1 samples, so none is evaluated
-    for t, expect in ((1.0, 0), (0.9, bm.schedule.q[1]), (0.6, bm.schedule.q[2]),
-                      (0.0, bm.schedule.q[4])):
-        before = bm.eval_counter, bm.jac_counter
+    q = bm.schedule.q
+    for t, expect in ((1.0, 0), (0.9, q[1]), (0.6, q[2]), (0.0, q[4])):
+        evals, jacs = bm.eval_counter, bm.jac_counter
         bm.evaluate(x, t)
-        assert (bm.eval_counter - before[0], bm.jac_counter - before[1]) == (expect, expect)
+        assert bm.eval_counter - evals == bm.jac_counter - jacs == expect
     d, dd_dt, dd_dx = bm.evaluate(x, 1.0)
     assert not np.any(d) and not np.any(dd_dt) and not np.any(dd_dx)
 

@@ -50,7 +50,7 @@ def test_tangent_rejects_rank_deficiency():
     assert tangent(np.zeros((2, 3)), prev=minus_e_t(3)) is None
 
 
-# -- bordered solve ------------------------------------------------------------
+# -- bordered solve -----------------------------------------------------------
 
 def bordered(A):
     """_bordered_solve on the square A split into [J; row], rhs all ones."""
