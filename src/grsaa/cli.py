@@ -26,6 +26,7 @@ from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import problems
 from .saa import check_coercivity
@@ -36,6 +37,19 @@ from .tracer import path_to_csv, trace
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
+
+
+def _blas(module) -> str:
+    try:  # show_config(mode="dicts") needs numpy >= 1.26, scipy >= 1.11
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+# named in every summary.json: the counts move with the LAPACK's last bits
+VERSIONS = {"numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": _blas(np), "scipy_blas": _blas(scipy)}
 
 
 @dataclass
@@ -103,7 +117,8 @@ def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
 def _write_artifacts(outdir: Path, cfg: RunConfig, summary: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.resolved").write_text(cfg.to_kv())
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (outdir / "summary.json").write_text(
+        json.dumps({**summary, "versions": VERSIONS}, indent=2) + "\n")
 
 
 def cmd_solve(cfg: RunConfig) -> int:

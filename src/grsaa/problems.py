@@ -2,10 +2,11 @@
 box-constrained stochastic variational inequality.
 
 Each problem supplies a batched residual f(x, xi), a fused kernel that
-returns the same residual rows with the w-weighted sum of their analytic
-x-Jacobians from one pass (no per-sample Jacobian is stored), a domain box
-with an interior reference point, and (where one exists) an independent
-ground-truth oracle built on the analytic expectation of the residual.
+returns the same rows with the w-weighted sum of their analytic x-Jacobians
+from one pass (no per-sample Jacobian is stored; market shares one softmax
+row per sample across its goods), a domain box with an interior reference
+point, and (where one exists) an independent ground-truth oracle built on
+the analytic expectation of the residual.
 """
 
 from __future__ import annotations
@@ -58,13 +59,9 @@ def build_homotopy(inst: ProblemInstance, samples: SampleSet,
 # market equilibrium (CES economy, three goods, two firms)
 # ---------------------------------------------------------------------------
 
-# CES weight ratios entering the demand denominators, row i column j
-_W_RATIO = np.array([
-    [1.0, 2.0 / 3.0, 2.0],
-    [3.0 / 2.0, 1.0, 3.0],
-    [1.0 / 2.0, 1.0 / 3.0, 1.0],
-])
-_LOG_W = np.log(_W_RATIO)
+# log of the CES weights a: good i's demand denominator weighs p_j^(1+e) by
+# (a_i/a_j)^e
+_LOG_A = np.log([1.0, 1.5, 0.5])
 
 MARKET_A = np.array([
     [-1.5, 1.0, 1.0],
@@ -78,13 +75,12 @@ MARKET_SOLUTION = np.array([0.40, 0.45, 0.15])
 def _market_parts(p: np.ndarray, xis: np.ndarray):
     """Shared pieces of the CES demand, computed in log space.
 
-    The transformed prices p_i^(1/(xi-1)) overflow for xi near 1, so demand
-    shares are assembled as exp(e*l_i - logsumexp_j(e*logW_ij + (1+e)*l_j))
-    with l = log p, which stays bounded for all xi in [-1, 1).  The clip is
+    p_i^(1/(xi-1)) overflows for xi near 1, so with l = log p good i's
+    denominator is a_i^e exp(logsumexp_j v_j), v_j = (1+e) l_j - e log a_j:
+    one softmax row s per sample serves all goods, and the share p_i^e /
+    denominator_i is s_i / p_i, bounded for all xi in [-1, 1).  The clip is
     a RuntimeWarning with a fixed message, so Python's default filter shows
-    it once rather than on every kernel call.  softmax is returned in the
-    buffer of terms, which the caller may overwrite.
-    """
+    it once rather than on every kernel call; softmax may be overwritten."""
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xis, dtype=float).reshape(-1)
     if np.any(xi > 1.0 - _XI_CLIP):
@@ -94,22 +90,12 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
     with np.errstate(invalid="ignore", divide="ignore"):
         l = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
     e = 1.0 / (xi - 1.0)  # (q,)
-    # terms[k, i, j] = e_k * logW_ij + (1 + e_k) * l_j
-    terms = e[:, None, None] * _LOG_W[None, :, :]
-    terms += (1.0 + e)[:, None, None] * l[None, None, :]
-    tmax = terms.max(axis=2, keepdims=True)
-    terms -= tmax
-    expt = np.exp(terms, out=terms)
-    sumexp = expt.sum(axis=2)
-    lse = np.log(sumexp)
-    lse += tmax[:, :, 0]  # (q, 3)
-    del tmax
-    share = e[:, None] * l[None, :]
-    share -= lse
-    del lse
-    np.exp(share, out=share)  # (q, 3)
-    softmax = np.divide(expt, sumexp[:, :, None], out=expt)  # (q, 3, 3)
-    return p, e, share, softmax
+    v = np.multiply.outer(1.0 + e, l)
+    v -= np.multiply.outer(e, _LOG_A)  # (q, 3)
+    v -= v.max(axis=1, keepdims=True)
+    softmax = np.exp(v, out=v)
+    softmax /= softmax.sum(axis=1, keepdims=True)
+    return p, e, softmax / p, softmax
 
 
 def market_residual(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -124,13 +110,12 @@ def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray):
     p, e, share, softmax = _market_parts(p, xis)
     S = p.sum()
     # J_k = share_k 1^T + S * dshare_k with dshare_k,ij = share_ki *
-    # (e_k d_ij - (1+e_k) softmax_kij) / p_j, so the weighted sum is
+    # (e_k d_ij - (1+e_k) softmax_kj) / p_j, so the weighted sum is
     # a 1^T + (S/p_j)(d_ij b_i - C_ij) with a = w^T share, b = (w e)^T share
-    # and C_ij = sum_k w_k (1+e_k) share_ki softmax_kij, taken in place
-    softmax *= (w * (1.0 + e))[:, None, None]
-    C = np.einsum("ki,kij->ij", share, softmax)
+    # and C = share^T (w (1+e) softmax), one (3, q) x (q, 3) product
+    softmax *= (w * (1.0 + e))[:, None]
     J = np.diag((w * e) @ share)
-    J -= C
+    J -= share.T @ softmax
     J *= S / p
     J += (w @ share)[:, None]
     return S * share, J

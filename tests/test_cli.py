@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from grsaa.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, RunConfig, build_run, main
 from grsaa.tracer import trace
@@ -32,6 +33,16 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path, capsys):
     assert summary["counters"]["sample_evals"] > 0
     assert summary["counters"]["jac_evals"] > 0
     assert "converged" in capsys.readouterr().out
+
+
+def test_summary_names_the_numeric_builds(tmp_path, capsys):
+    assert run(solve_args(tmp_path)) == EXIT_OK
+    versions = json.loads((tmp_path / "run" / "summary.json").read_text())["versions"]
+    assert set(versions) == {"numpy", "scipy", "numpy_blas", "scipy_blas"}
+    assert all(isinstance(v, str) and v for v in versions.values())
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
+    capsys.readouterr()
 
 
 def test_solve_is_bit_reproducible(tmp_path):

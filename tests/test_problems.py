@@ -34,9 +34,9 @@ def market_residual_direct(p, xi):
 
 def test_market_residual_matches_direct_formula():
     rng = np.random.default_rng(0)
-    for _ in range(50):
+    for k in range(51):
         p = rng.uniform(0.05, 1.0, 3)
-        xi = rng.uniform(-1.0, 0.9)
+        xi = rng.uniform(-1.0, 0.9) if k < 50 else -1.0  # and the lower end
         got = P.market_residual(p, np.array([[xi]]))[0]
         want = market_residual_direct(p, xi)
         assert np.allclose(got, want, rtol=1e-12)
@@ -48,6 +48,39 @@ def test_market_residual_hand_value_cobb_douglas():
     want1 = (1.0 / 0.5) / (1.0 + 1.5 + 0.5)  # = 2/3
     got = P.market_residual(p, np.zeros((1, 1)))[0]
     assert got[0] == pytest.approx(want1, rel=1e-14)
+
+
+def test_market_jacobian_hand_value_cobb_douglas():
+    # xi = 0 gives e = -1 and f_i = S a_i / (3 p_i) with S = sum(p) and
+    # a = (1, 1.5, 0.5), so J_ij = a_i / (3 p_i) - d_ij S a_i / (3 p_i^2)
+    a = np.array([1.0, 1.5, 0.5])
+    for p in ([0.5, 0.25, 0.25], [0.4, 0.45, 0.15], [1e-3, 1.0, 0.3]):
+        p = np.array(p)
+        S = p.sum()
+        F, J = P.market_jacobian(p, np.zeros((1, 1)), np.ones(1))
+        assert np.allclose(F[0], S * a / (3 * p), rtol=1e-13, atol=0.0)
+        want = np.repeat((a / (3 * p))[:, None], 3, axis=1)
+        want -= np.diag(S * a / (3 * p ** 2))
+        assert np.allclose(J, want, rtol=1e-13, atol=0.0)
+
+
+def test_market_kernels_finite_at_extremes():
+    # both ends of the xi range (the upper one clipped) at every corner of
+    # the price box
+    xis = np.array([[-1.0], [1.0 - 1e-9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for corner in np.ndindex(2, 2, 2):
+            p = np.where(np.array(corner) == 1, 1.0, 1e-3)
+            F, J = P.market_jacobian(p, xis, np.array([0.5, 0.5]))
+            assert np.all(np.isfinite(F)) and np.all(np.isfinite(J))
+            assert np.array_equal(F, P.market_residual(p, xis))
+    # outside the price domain every row has a non-finite entry, which the
+    # map refuses upstream
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for p in ([0.0, 0.5, 0.5], [-0.1, 0.5, 0.5]):
+            F = P.market_residual(np.array(p), np.array([[-1.0], [0.0], [0.5]]))
+            assert not np.isfinite(F).all(axis=1).any()
 
 
 def test_market_residual_is_stable_near_xi_one():
