@@ -3,10 +3,12 @@ box-constrained stochastic variational inequality.
 
 Each problem supplies a batched residual f(x, xi), a fused kernel that
 returns the same rows with the w-weighted sum of their analytic x-Jacobians
-from one pass (no per-sample Jacobian is stored; market shares one softmax
-row per sample across its goods), a domain box with an interior reference
-point, and (where one exists) an independent ground-truth oracle built on
-the analytic expectation of the residual.
+from one pass (no per-sample Jacobian is stored), a domain box with an
+interior reference point, and (where one exists) an independent ground-truth
+oracle built on the analytic expectation of the residual.  Kernels build
+(n, q) arrays and return F as their column-major (q, n) transpose.  Market
+shares one softmax column per sample across its goods; sin and svi expand
+sin(i sum(x) + xi) by angle addition, 2q + 2n trig calls a pass.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
 
     p_i^(1/(xi-1)) overflows for xi near 1, so with l = log p good i's
     denominator is a_i^e exp(logsumexp_j v_j), v_j = (1+e) l_j - e log a_j:
-    one softmax row s per sample serves all goods, and the share p_i^e /
-    denominator_i is s_i / p_i, bounded for all xi in [-1, 1).  The clip is
-    a RuntimeWarning with a fixed message, so Python's default filter shows
+    one softmax column s per sample serves all goods, and the share p_i^e /
+    denominator_i is s_i / p_i, bounded for all xi in [-1, 1).  Built as
+    (3, q) arrays and returned as their (q, 3) transposes.  The clip is a
+    RuntimeWarning with a fixed message, so Python's default filter shows
     it once rather than on every kernel call; softmax may be overwritten."""
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xis, dtype=float).reshape(-1)
@@ -90,12 +93,12 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
     with np.errstate(invalid="ignore", divide="ignore"):
         l = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
     e = 1.0 / (xi - 1.0)  # (q,)
-    v = np.multiply.outer(1.0 + e, l)
-    v -= np.multiply.outer(e, _LOG_A)  # (q, 3)
-    v -= v.max(axis=1, keepdims=True)
+    v = np.multiply.outer(l, 1.0 + e)
+    v -= np.multiply.outer(_LOG_A, e)  # (3, q)
+    v -= v.max(axis=0)
     softmax = np.exp(v, out=v)
-    softmax /= softmax.sum(axis=1, keepdims=True)
-    return p, e, softmax / p, softmax
+    softmax /= softmax.sum(axis=0)
+    return p, e, (softmax / p[:, None]).T, softmax.T
 
 
 def market_residual(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -157,39 +160,57 @@ def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sin system
+# sin system (and the angle addition the svi kernels share)
 # ---------------------------------------------------------------------------
 
-def _phase(x: np.ndarray, xis: np.ndarray):
-    """(x, i, phase) with phase[k, i-1] = i * sum(x) + xi_k, shared by the
-    sin and svi kernels."""
+def _angles(x: np.ndarray, xis: np.ndarray):
+    """(x, i, sin a, cos a, T) with a_i = i * sum(x) and T = (cos xi; sin xi;
+    1), (3, q).  By angle addition sin(a_i + xi_k) = sin a_i cos xi_k +
+    cos a_i sin xi_k, so every (n, q) matrix of such terms is one product
+    with T: 2q + 2n trig calls instead of 2qn."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xis, dtype=float).reshape(-1)
-    i_arr = np.arange(1, x.size + 1)
-    return x, i_arr, i_arr[None, :] * x.sum() + xi[:, None]  # (q, n)
+    i = np.arange(1.0, x.size + 1)
+    a = i * x.sum()
+    T = np.empty((3, xi.size))
+    T[2] = 1.0
+    np.cos(xi, out=T[0])
+    np.sin(xi, out=T[1])
+    return x, i, np.sin(a), np.cos(a), T
 
 
-def _eye_plus_rank1(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w_k (I + coef[k, :, None] 1^T) = (sum w) I + (coef^T w) 1^T."""
-    n = coef.shape[1]
-    J = np.repeat((w @ coef)[:, None], n, axis=1)
-    J += w.sum() * np.eye(n)
+def _eye_plus_rank1(coef: np.ndarray, wsum: float) -> np.ndarray:
+    """sum_k w_k (I + c_k 1^T) = (sum w) I + coef 1^T for coef = sum_k w_k c_k."""
+    n = coef.size
+    J = np.repeat(coef[:, None], n, axis=1)
+    J.flat[::n + 1] += wsum
     return J
+
+
+# scales the rows (sin a, cos a, x, cos a, sin a, x) to (A; D), with
+# F = (A^T @ T)^T and D^T @ (T @ w) = -5 sum_k w_k cos(a + xi_k)
+_SIN_SCALE = np.array([[-5.0], [-5.0], [1.0], [-5.0], [5.0], [0.0]])
+
+
+def _sin_rows(x: np.ndarray, xis: np.ndarray):
+    """(i, D, T, F): F = x - 5 sin(a + xi) and the pieces of its Jacobian."""
+    x, i, sa, ca, T = _angles(x, xis)
+    AD = _SIN_SCALE * np.array((sa, ca, x, ca, sa, x))
+    return i, AD[3:], T, (AD[:3].T @ T).T
 
 
 def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
-    x, _, phase = _phase(x, xis)
-    return x[None, :] - 5.0 * np.sin(phase)
+    return _sin_rows(x, xis)[3]
 
 
 def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
     """(F, sum_k w_k J_k): sin_residual's rows and the w-weighted sum of
-    their x-Jacobians I + c_k 1^T from one pass."""
-    x, i_arr, phase = _phase(x, xis)
-    F = x[None, :] - 5.0 * np.sin(phase)
-    coef = -5.0 * i_arr[None, :] * np.cos(phase, out=phase)  # (q, n)
-    return F, _eye_plus_rank1(coef, w)
+    their x-Jacobians I + c_k 1^T, c_ki = -5 i cos(a_i + xi_k), whose sum
+    needs only T @ w = (w.cos xi, w.sin xi, sum w)."""
+    i, D, T, F = _sin_rows(x, xis)
+    u = T @ w
+    return F, _eye_plus_rank1(i * (D.T @ u), u[2])
 
 
 def sin_expectation(x: np.ndarray) -> np.ndarray:
@@ -201,10 +222,9 @@ def sin_expectation(x: np.ndarray) -> np.ndarray:
 
 def sin_expectation_jac(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    n = x.size
-    i_arr = np.arange(1, n + 1)
+    i_arr = np.arange(1, x.size + 1)
     coef = -5.0 * math.sin(1.0) * i_arr * np.cos(i_arr * x.sum())
-    return np.eye(n) + coef[:, None] * np.ones((1, n))
+    return _eye_plus_rank1(coef, 1.0)
 
 
 def sin_instance(n: int) -> ProblemInstance:
@@ -220,23 +240,29 @@ def sin_instance(n: int) -> ProblemInstance:
 # stochastic variational inequality over the box [-10, 10]^n
 # ---------------------------------------------------------------------------
 
+def _svi_rows(x: np.ndarray, xis: np.ndarray):
+    """(x, i, E, S) with E = exp(cos(a + xi)) and S = sin(a + xi), both
+    (n, q) views of one (2n, 2) @ (cos xi; sin xi) product; residual and
+    jacobian both make it, so their F agree bit for bit."""
+    x, i, sa, ca, T = _angles(x, xis)
+    P = np.array((ca, sa, -sa, ca)).reshape(2, -1).T @ T[:2]
+    E = np.exp(P[:x.size], out=P[:x.size])
+    return x, i, E, P[x.size:]
+
+
 def svi_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi))."""
-    x, _, phase = _phase(x, xis)
-    return x[None, :] - np.exp(np.cos(phase))
+    x, _, E, _ = _svi_rows(x, xis)
+    return np.subtract(x[:, None], E, out=E).T
 
 
 def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
     """(F, sum_k w_k J_k): svi_residual's rows and the w-weighted sum of
-    their x-Jacobians I + c_k 1^T from one pass."""
-    x, i_arr, phase = _phase(x, xis)
-    ec = np.cos(phase)
-    np.exp(ec, out=ec)
-    # coef = ec * sin(phase) * i in phase's buffer, then F in ec's
-    coef = np.sin(phase, out=phase)
-    coef *= ec
-    coef *= i_arr
-    return np.subtract(x[None, :], ec, out=ec), _eye_plus_rank1(coef, w)
+    their x-Jacobians I + c_k 1^T, c_ki = i exp(cos(a_i + xi_k)) sin(a_i + xi_k)."""
+    x, i, E, S = _svi_rows(x, xis)
+    S *= E
+    coef = i * (S @ w)
+    return np.subtract(x[:, None], E, out=E).T, _eye_plus_rank1(coef, w.sum())
 
 
 def _exp_cos_mean(a: float) -> float:
@@ -260,10 +286,9 @@ def svi_expectation(x: np.ndarray) -> np.ndarray:
 
 def svi_expectation_jac(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    n = x.size
     s = x.sum()
-    coef = np.array([-i * _exp_cos_mean_deriv(i * s) for i in range(1, n + 1)])
-    return np.eye(n) + coef[:, None] * np.ones((1, n))
+    coef = [-i * _exp_cos_mean_deriv(i * s) for i in range(1, x.size + 1)]
+    return _eye_plus_rank1(np.array(coef), 1.0)
 
 
 def svi_instance(n: int) -> ProblemInstance:

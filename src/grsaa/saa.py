@@ -37,7 +37,10 @@ _FACE_POINTS = 256
 _MAX_XI = 200
 
 # Residual evaluators are batched over samples for speed:
-#   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise
+#   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise, stored
+#       column-major (the .T of a C-contiguous (n, q) array): the blend's
+#       sums over samples, F.sum(axis=0) and F[:q_lo].sum(axis=0), then each
+#       run down n contiguous columns instead of across q short rows
 #   jacobian(x, xis, w) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k) for
 #       weights w (q,); one fused pass whose F must equal residual(x, xis)
 #       bit for bit, because the tracer reads F from here while the reported
@@ -100,11 +103,14 @@ class BlendedMap:
     # -- residual passes ---------------------------------------------------
 
     def _residual_block(self, x: np.ndarray, q: int, w: np.ndarray | None = None):
-        """(F (q, n), sum_k w_k J_k (n, n) or None) over the first q samples.
+        """(F (q, n), F.sum(axis=0), sum_k w_k J_k (n, n) or None) over the
+        first q samples.
 
         One kernel call either way: `residual` for F alone, the fused
-        `jacobian` pass when weights w (q,) are given.  F must be finite;
-        each call adds q to eval_counter and, with w, q to jac_counter.
+        `jacobian` pass when weights w (q,) are given.  The sum must be
+        finite, as it is not when any row is NaN or infinite; only then are
+        the rows scanned, to name the first bad one.  Each call adds q to
+        eval_counter and, with w, q to jac_counter.
         """
         x = np.asarray(x, dtype=float)
         xis = self.samples.samples[:q]
@@ -113,14 +119,16 @@ class BlendedMap:
         else:
             vals, jac = self.system.residual(x, xis), None
         vals = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals).all(axis=1))[0])
+        total = vals.sum(axis=0)
+        if not np.isfinite(total).all():
+            bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
             raise FloatingPointError(
-                f"non-finite residual at sample index {bad} (x={x})")
+                f"non-finite residual at sample index {bad[0]} (x={x})" if bad.size
+                else f"residual sum over {q} finite rows overflowed (x={x})")
         self.eval_counter += q
         if w is not None:
             self.jac_counter += q
-        return vals, jac
+        return vals, total, jac
 
     def sample_average(self, ell: int, x: np.ndarray) -> np.ndarray:
         """Average f^l(x) of the first q_l samples; f^0 is zero and free."""
@@ -129,7 +137,7 @@ class BlendedMap:
         if ell == 0:
             return np.zeros(self.system.n)
         q = self.schedule.q[ell]
-        return self._residual_block(x, q)[0].sum(axis=0) / q
+        return self._residual_block(x, q)[1] / q
 
     # -- blended map and derivatives --------------------------------------
 
@@ -152,9 +160,9 @@ class BlendedMap:
         # on segment 1, q_lo = 0: the head slices are empty and f^0 is +0.0
         w = np.full(q, th / q_hi)
         w[:q_lo] += (1.0 - th) / max(q_lo, 1)
-        vals, dd_dx = self._residual_block(x, q, w)
+        vals, total, dd_dx = self._residual_block(x, q, w)
         f_lo = vals[:q_lo].sum(axis=0) / max(q_lo, 1)
-        f_hi = vals.sum(axis=0) / q_hi
+        f_hi = total / q_hi
         d = (1.0 - th) * f_lo + th * f_hi
         dd_dt = thp * (f_hi - f_lo)
         return d, dd_dt, dd_dx

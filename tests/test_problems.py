@@ -144,7 +144,10 @@ def test_ces_clip_is_reported_once_per_solve():
                               P.market_residual(x_ref, np.array([[1.0 - 1e-6]])))
 
 
-@pytest.mark.parametrize("name, n", [("market", 3), ("sin", 3), ("sin", 8), ("svi", 2)])
+KERNEL_SIZES = [("market", 3), ("sin", 1), ("sin", 3), ("sin", 8), ("svi", 1), ("svi", 2)]
+
+
+@pytest.mark.parametrize("name, n", KERNEL_SIZES)
 def test_fused_jacobian_rows_equal_residual_bit_for_bit(name, n):
     # the corrector reads F from the fused pass and the landing Newton from
     # residual: both must see one map
@@ -160,6 +163,21 @@ def test_fused_jacobian_rows_equal_residual_bit_for_bit(name, n):
             F, J = inst.system.jacobian(x, xis, np.full(257, 1.0 / 257))
             assert J.shape == (n, n)
             assert np.array_equal(F, inst.system.residual(x, xis))
+
+
+@pytest.mark.parametrize("name, n", KERNEL_SIZES)
+def test_kernel_rows_are_stored_column_major(name, n):
+    # the blend sums F over its samples (axis 0); column-major storage makes
+    # each of those sums run over one contiguous column
+    inst = P.get_instance(name, n)
+    q = 257
+    xis = np.random.default_rng(6).uniform(-1.0, 1.0, (q, 1))
+    x = inst.system.x0
+    for F in (inst.system.residual(x, xis),
+              inst.system.jacobian(x, xis, np.full(q, 1.0 / q))[0]):
+        assert F.shape == (q, n)
+        assert F.flags.f_contiguous
+
 
 def test_market_equilibrium_arithmetic():
     p = P.MARKET_SOLUTION
@@ -256,6 +274,32 @@ def test_sin_monte_carlo_agrees_with_expectation():
     x = np.array([0.7, -0.3])
     mc = inst.system.residual(x, s.samples).mean(axis=0)
     assert np.allclose(mc, P.sin_expectation(x), atol=0.05)
+
+
+def test_angle_addition_kernels_match_direct_formulas():
+    # sin and svi evaluate sin(a_i + xi) and cos(a_i + xi), a_i = i * sum(x),
+    # by angle addition; against the direct formulas on the box [-10, 10]^n,
+    # F to absolute 1e-12 and sum_k w_k J_k to 1e-12 relative to its largest
+    # entry (tolerances fixed before measuring)
+    rng = np.random.default_rng(7)
+    xis = rng.uniform(-1.0, 1.0, (64, 1))
+    xi = xis[:, 0]
+    for n in range(1, 9):
+        i = np.arange(1, n + 1)
+        for _ in range(200):
+            x = rng.uniform(-10.0, 10.0, n)
+            w = rng.uniform(0.0, 1.0, 64)
+            phase = i[None, :] * x.sum() + xi[:, None]
+            direct = {
+                "sin": (x - 5.0 * np.sin(phase), -5.0 * i * np.cos(phase)),
+                "svi": (x - np.exp(np.cos(phase)),
+                        i * np.exp(np.cos(phase)) * np.sin(phase)),
+            }
+            for name, (F_want, coef) in direct.items():
+                J_want = w.sum() * np.eye(n) + (w @ coef)[:, None]
+                F, J = P.get_instance(name, n).system.jacobian(x, xis, w)
+                assert np.max(np.abs(F - F_want)) <= 1e-12
+                assert np.max(np.abs(J - J_want)) <= 1e-12 * np.max(np.abs(J_want))
 
 
 # -- svi ---------------------------------------------------------------------

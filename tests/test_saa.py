@@ -217,6 +217,46 @@ def test_nonfinite_residual_reports_sample_index():
     assert (bm.eval_counter, bm.jac_counter) == (0, 0)
 
 
+def rows_map(rows):
+    """BlendedMap over a scalar system whose kernels return `rows` (q, 1)."""
+    sys_ = StochasticSystem(
+        n=1, m=1, residual=lambda x, xis: rows[:xis.shape[0]].copy(),
+        jacobian=lambda x, xis, w: (rows[:xis.shape[0]].copy(), np.zeros((1, 1))),
+        box_lo=np.array([-1.0]), box_hi=np.array([1.0]), x0=np.array([0.0]))
+    q = rows.shape[0]
+    return BlendedMap(system=sys_, samples=SampleSet(np.zeros((q, 1))),
+                      schedule=make_schedule("uniform", q, 1))
+
+
+@pytest.mark.parametrize("k", [0, 4, 7])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_row_is_named_from_the_sum(k, value):
+    # the finite check reads the column sums; a bad row makes them non-finite
+    rows = np.ones((8, 1))
+    rows[k] = value
+    if k == 0:
+        rows[5] = np.nan  # the first bad row is named, not a later one
+    bm = rows_map(rows)
+    for call in (lambda: bm.sample_average(1, np.zeros(1)),
+                 lambda: bm.evaluate(np.zeros(1), 0.0)):
+        with pytest.raises(FloatingPointError, match=f"sample index {k} "):
+            call()
+    assert (bm.eval_counter, bm.jac_counter) == (0, 0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflowing_sum_of_finite_rows_raises(sign):
+    rows = np.full((6, 1), sign * 1e308)
+    bm = rows_map(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the sum
+        for call in (lambda: bm.sample_average(1, np.zeros(1)),
+                     lambda: bm.evaluate(np.zeros(1), 0.0)):
+            with pytest.raises(FloatingPointError, match="finite rows overflowed"):
+                call()
+    assert (bm.eval_counter, bm.jac_counter) == (0, 0)
+
+
 def problem_maps():
     """One BlendedMap per problem kind, L = 4, with a clipped market sample."""
     for name, n in (("market", 3), ("sin", 3), ("svi", 2)):
