@@ -6,9 +6,10 @@ returns the same rows with the w-weighted sum of their analytic x-Jacobians
 from one pass (no per-sample Jacobian is stored), a domain box with an
 interior reference point, and (where one exists) an independent ground-truth
 oracle built on the analytic expectation of the residual.  Kernels build
-(n, q) arrays and return F as their column-major (q, n) transpose.  Market
-shares one softmax column per sample across its goods; sin and svi expand
-sin(i sum(x) + xi) by angle addition, 2q + 2n trig calls a pass.
+(n, q) arrays element by element and return F as their column-major (q, n)
+transpose, so a row's bits do not depend on how many rows a call has.
+Market shares one softmax column per sample across its goods; sin and svi
+expand sin(i sum(x) + xi) by angle addition, 2q + 2n trig calls a pass.
 """
 
 from __future__ import annotations
@@ -163,22 +164,6 @@ def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
 # sin system (and the angle addition the svi kernels share)
 # ---------------------------------------------------------------------------
 
-def _angles(x: np.ndarray, xis: np.ndarray):
-    """(x, i, sin a, cos a, T) with a_i = i * sum(x) and T = (cos xi; sin xi;
-    1), (3, q).  By angle addition sin(a_i + xi_k) = sin a_i cos xi_k +
-    cos a_i sin xi_k, so every (n, q) matrix of such terms is one product
-    with T: 2q + 2n trig calls instead of 2qn."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xis, dtype=float).reshape(-1)
-    i = np.arange(1.0, x.size + 1)
-    a = i * x.sum()
-    T = np.empty((3, xi.size))
-    T[2] = 1.0
-    np.cos(xi, out=T[0])
-    np.sin(xi, out=T[1])
-    return x, i, np.sin(a), np.cos(a), T
-
-
 def _eye_plus_rank1(coef: np.ndarray, wsum: float) -> np.ndarray:
     """sum_k w_k (I + c_k 1^T) = (sum w) I + coef 1^T for coef = sum_k w_k c_k."""
     n = coef.size
@@ -187,30 +172,46 @@ def _eye_plus_rank1(coef: np.ndarray, wsum: float) -> np.ndarray:
     return J
 
 
-# scales the rows (sin a, cos a, x, cos a, sin a, x) to (A; D), with
-# F = (A^T @ T)^T and D^T @ (T @ w) = -5 sum_k w_k cos(a + xi_k)
-_SIN_SCALE = np.array([[-5.0], [-5.0], [1.0], [-5.0], [5.0], [0.0]])
+def _angles(x: np.ndarray, xis: np.ndarray):
+    """(x, i, sin a, cos a, T) with a_i = i * sum(x) and T = (cos xi; sin xi),
+    (2, q).  By angle addition sin(a_i + xi_k) = sin a_i cos xi_k + cos a_i
+    sin xi_k and cos(a_i + xi_k) = cos a_i cos xi_k - sin a_i sin xi_k: 2q +
+    2n trig calls instead of 2qn, all but 2n of them on |xi| <= 1."""
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xis, dtype=float).reshape(-1)
+    i = np.arange(1.0, x.size + 1)
+    a = i * x.sum()
+    return x, i, np.sin(a), np.cos(a), np.array((np.cos(xi), np.sin(xi)))
 
 
-def _sin_rows(x: np.ndarray, xis: np.ndarray):
-    """(i, D, T, F): F = x - 5 sin(a + xi) and the pieces of its Jacobian."""
-    x, i, sa, ca, T = _angles(x, xis)
-    AD = _SIN_SCALE * np.array((sa, ca, x, ca, sa, x))
-    return i, AD[3:], T, (AD[:3].T @ T).T
+def _combine(u: np.ndarray, v: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """u_i T_0k + v_i T_1k, (n, q), element by element, so a row's bits do
+    not depend on q (a matrix product would let BLAS pick its kernel by the
+    batch's shape).  Both products share one (2, n, q) buffer: a second
+    (n, q) temporary made the sin-dims kernel about 40% slower."""
+    B = np.array((u, v))[:, :, None] * T[:, None, :]
+    B[0] += B[1]
+    return B[0]
 
 
 def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
-    return _sin_rows(x, xis)[3]
+    x, _, sa, ca, T = _angles(x, xis)
+    F = _combine(-5.0 * sa, -5.0 * ca, T)
+    F += x[:, None]
+    return F.T
 
 
 def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
     """(F, sum_k w_k J_k): sin_residual's rows and the w-weighted sum of
     their x-Jacobians I + c_k 1^T, c_ki = -5 i cos(a_i + xi_k), whose sum
-    needs only T @ w = (w.cos xi, w.sin xi, sum w)."""
-    i, D, T, F = _sin_rows(x, xis)
+    needs only T @ w = (w.cos xi, w.sin xi)."""
+    x, i, sa, ca, T = _angles(x, xis)
+    sa, ca = -5.0 * sa, -5.0 * ca
+    F = _combine(sa, ca, T)
+    F += x[:, None]
     u = T @ w
-    return F, _eye_plus_rank1(i * (D.T @ u), u[2])
+    return F.T, _eye_plus_rank1(i * (ca * u[0] - sa * u[1]), w.sum())
 
 
 def sin_expectation(x: np.ndarray) -> np.ndarray:
@@ -240,29 +241,22 @@ def sin_instance(n: int) -> ProblemInstance:
 # stochastic variational inequality over the box [-10, 10]^n
 # ---------------------------------------------------------------------------
 
-def _svi_rows(x: np.ndarray, xis: np.ndarray):
-    """(x, i, E, S) with E = exp(cos(a + xi)) and S = sin(a + xi), both
-    (n, q) views of one (2n, 2) @ (cos xi; sin xi) product; residual and
-    jacobian both make it, so their F agree bit for bit."""
-    x, i, sa, ca, T = _angles(x, xis)
-    P = np.array((ca, sa, -sa, ca)).reshape(2, -1).T @ T[:2]
-    E = np.exp(P[:x.size], out=P[:x.size])
-    return x, i, E, P[x.size:]
-
-
 def svi_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi))."""
-    x, _, E, _ = _svi_rows(x, xis)
+    x, _, sa, ca, T = _angles(x, xis)
+    E = np.exp(_combine(ca, -sa, T))
     return np.subtract(x[:, None], E, out=E).T
 
 
 def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
     """(F, sum_k w_k J_k): svi_residual's rows and the w-weighted sum of
     their x-Jacobians I + c_k 1^T, c_ki = i exp(cos(a_i + xi_k)) sin(a_i + xi_k)."""
-    x, i, E, S = _svi_rows(x, xis)
-    S *= E
-    coef = i * (S @ w)
-    return np.subtract(x[:, None], E, out=E).T, _eye_plus_rank1(coef, w.sum())
+    x, i, sa, ca, T = _angles(x, xis)
+    E = np.exp(_combine(ca, -sa, T))
+    coef = _combine(sa, ca, T)
+    coef *= E
+    return (np.subtract(x[:, None], E, out=E).T,
+            _eye_plus_rank1(i * (coef @ w), w.sum()))
 
 
 def _exp_cos_mean(a: float) -> float:

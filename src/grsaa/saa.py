@@ -40,7 +40,9 @@ _MAX_XI = 200
 #   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise, stored
 #       column-major (the .T of a C-contiguous (n, q) array): the blend's
 #       sums over samples, F.sum(axis=0) and F[:q_lo].sum(axis=0), then each
-#       run down n contiguous columns instead of across q short rows
+#       run down n contiguous columns instead of across q short rows; a
+#       row's bits may not depend on q, because evaluate reads f^{l-1} from
+#       the head of a q_l pass and sample_average(l-1) makes its own pass
 #   jacobian(x, xis, w) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k) for
 #       weights w (q,); one fused pass whose F must equal residual(x, xis)
 #       bit for bit, because the tracer reads F from here while the reported

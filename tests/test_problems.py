@@ -179,6 +179,23 @@ def test_kernel_rows_are_stored_column_major(name, n):
         assert F.flags.f_contiguous
 
 
+@pytest.mark.parametrize("name, n", [("market", 3)] + [("sin", n) for n in range(1, 15)]
+                         + [("svi", n) for n in range(1, 5)])
+def test_kernel_rows_do_not_depend_on_the_batch_size(name, n):
+    # the blend reads f^{l-1} from the head of a q_l pass, and a separate
+    # q_{l-1} pass must give the same bits: a row may not depend on q
+    inst = P.get_instance(name, n)
+    rng = np.random.default_rng(8)
+    xis = rng.uniform(-1.0, 1.0, (300, 1))
+    for _ in range(5):
+        x = rng.uniform(inst.system.box_lo, inst.system.box_hi)
+        full = inst.system.residual(x, xis)
+        for q in (1, 2, 3, 5, 8, 17, 64, 100, 299):
+            assert np.array_equal(inst.system.residual(x, xis[:q]), full[:q])
+            F, _ = inst.system.jacobian(x, xis[:q], np.full(q, 1.0 / q))
+            assert np.array_equal(F, full[:q])
+
+
 def test_market_equilibrium_arithmetic():
     p = P.MARKET_SOLUTION
     Ap = P.MARKET_A @ p
