@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import root
 
 from .homotopy import HomotopyMap
-from .newton import damped_newton
+from .newton import NewtonFailure
 from .saa import BlendedMap, StochasticSystem
 from .sampling import SampleSet, UniformBox
 from .schedule import NodeSchedule
@@ -307,21 +308,37 @@ def svi_instance(n: int) -> ProblemInstance:
 # ground-truth oracles
 # ---------------------------------------------------------------------------
 
+# MINPACK's hybr stops when two iterates agree to this relative accuracy;
+# scipy's default, 1.49e-8, can stop above the 1e-12 residual asked for
+_ORACLE_XTOL = 1e-13
+
+
 def oracle_solve(inst: ProblemInstance, start: np.ndarray,
                  tol: float = 1e-12) -> np.ndarray:
-    """Solve the analytic-expectation system by damped Newton from `start`.
+    """Root of the analytic-expectation system from `start`, by MINPACK's
+    Powell hybrid method (scipy.optimize.root, method "hybr") with the
+    analytic expectation Jacobian.
 
     Independent of the homotopy machinery: sin uses the closed-form
     expectation, svi a quadrature expectation.  The market problem has no
-    analytic equilibrium oracle here; use market_verify instead.  Raises
-    NewtonFailure when the oracle does not converge, which callers must
-    surface as inconclusive rather than passed.
+    analytic equilibrium oracle here; use market_verify instead.  The root
+    is accepted on its residual, ||E f(x)||_inf <= tol; otherwise, a NaN
+    residual included, NewtonFailure is raised, which callers must surface
+    as inconclusive rather than passed.
     """
     if inst.name == "sin":
-        return damped_newton(sin_expectation, sin_expectation_jac, start, tol=tol)
-    if inst.name == "svi":
-        return damped_newton(svi_expectation, svi_expectation_jac, start, tol=tol)
-    raise ValueError(f"no analytic-expectation oracle for problem {inst.name!r}")
+        F, J = sin_expectation, sin_expectation_jac
+    elif inst.name == "svi":
+        F, J = svi_expectation, svi_expectation_jac
+    else:
+        raise ValueError(f"no analytic-expectation oracle for problem {inst.name!r}")
+    sol = root(F, np.asarray(start, dtype=float), jac=J, method="hybr",
+               options={"xtol": _ORACLE_XTOL})
+    res = float(np.linalg.norm(sol.fun, np.inf))
+    if not res <= tol:
+        raise NewtonFailure(f"hybr stopped at x={sol.x}, |E f|_inf={res:.3e}: "
+                            f"{sol.message}")
+    return sol.x
 
 
 def get_instance(name: str, n: int = 3) -> ProblemInstance:

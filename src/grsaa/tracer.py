@@ -66,7 +66,9 @@ class PathPoint:
 
 @dataclass
 class TraceResult:
-    status: str  # converged | stalled | max_steps | diverged-out-of-box
+    # converged | stalled | max_steps | diverged-out-of-box |
+    # returned-to-start (an accepted point after the start is back at t = 1)
+    status: str
     saa_residual: float  # ||f^L(x*)||_inf on the state part
     path: list[PathPoint]
     counters: dict
@@ -214,9 +216,9 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     e_t = np.zeros(d + 1)
     e_t[d] = 1.0
     h = cfg.h0
-    prev_tau = -e_t
+    # the tangent at the last accepted point; a rejected step reuses it
+    tau = tangent(J, -e_t)
     while counters["predictor_steps"] + counters["rejected_steps"] < cfg.max_steps:
-        tau = tangent(J, prev_tau)
         if tau is None:
             return finish("stalled")
         t_pred = t + h * tau[-1]
@@ -240,11 +242,13 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         counters["predictor_steps"] += 1
         counters["corrector_iters_total"] += iters
         path.append(point(u, t, h, iters, res0))
-        prev_tau = tau
+        if t >= 1.0:
+            return finish("returned-to-start")
         if np.any(u[:n] < guard_lo) or np.any(u[:n] > guard_hi):
             return finish("diverged-out-of-box")
         if iters <= 3:
             h = min(_GROW * h, cfg.h_max)
+        tau = tangent(J, tau)
     return finish("max_steps")
 
 

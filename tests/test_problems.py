@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
+from grsaa.newton import NewtonFailure
 from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
@@ -370,13 +371,30 @@ def test_oracle_solve_svi_root():
     assert np.linalg.norm(P.svi_expectation(x), np.inf) <= 1e-12
 
 
+def test_oracle_solve_raises_where_it_finds_no_root():
+    with pytest.raises(NewtonFailure, match="hybr stopped"):
+        P.oracle_solve(P.svi_instance(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("seed", [8, 9, 11, 13, 15])
+def test_oracle_solve_reaches_tolerance_from_traced_answers(seed):
+    # criterion 3's N = 100 solves at these seeds: with scipy's default xtol
+    # (1.49e-8) hybr stops at residuals of 2.7e-12 to 6.4e-11
+    N = 100
+    inst = P.sin_instance(3)
+    samples = draw_samples(inst.distribution, N, seed=seed)
+    result = trace(P.build_homotopy(inst, samples, make_schedule("uniform", N, 4)))
+    x = P.oracle_solve(inst, result.x_star)
+    assert np.linalg.norm(P.sin_expectation(x), np.inf) <= 1e-12
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="svi is traced as VI(C, -f): ROADMAP item 1")
 @pytest.mark.parametrize("n", [1, 2])
 def test_svi_trace_agrees_with_oracle(n):
     # the traced answer, not just the status: 0.05 is well above the sampling
-    # error at N = 10^4.  The oracle starts from ones, because its Newton
-    # stalls from zeros at n = 2
+    # error at N = 10^4.  The oracle starts from ones, because from zeros at
+    # n = 2 it stops at a residual of 0.135 and raises NewtonFailure
     inst = P.svi_instance(n)
     N, L = 10 ** 4, 1000
     samples = draw_samples(inst.distribution, N, seed=0)

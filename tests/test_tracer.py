@@ -283,6 +283,32 @@ def test_step_size_stall_counts_every_rejection(monkeypatch):
     assert result.counters["predictor_steps"] == 0
 
 
+def test_tangent_is_computed_once_per_accepted_point(monkeypatch):
+    # a rejected step retries from the same point with the same tangent:
+    # one tangent at the start and one after each accepted step
+    calls = []
+
+    def counting_tangent(*args):
+        calls.append(1)
+        return tangent(*args)
+
+    monkeypatch.setattr(tracer, "tangent", counting_tangent)
+    result = trace(make_hm(N=100, L=4, seed=0))
+    assert result.status == "converged"
+    assert result.counters["rejected_steps"] > 0
+    assert len(calls) == result.counters["predictor_steps"] + 1
+
+
+def test_path_back_at_the_start_level_ends_the_trace():
+    # sample seed 9483 of the sin-small benchmark: step 14 is clamped back
+    # to t = 1, from where the path would retrace itself at no sample cost
+    result = trace(make_hm(N=100, L=4, seed=9483))
+    assert result.status == "returned-to-start"
+    assert [p.t for p in result.path].index(1.0, 1) == len(result.path) - 1
+    assert result.counters["predictor_steps"] == 14
+    assert result.counters["sample_evals"] == 2475
+
+
 def test_path_leaving_the_guard_box_is_diverged():
     # f = x - 100 has its root far outside the box [-1, 1]; the path leaves
     # the guard box [-2, 2] on the way there
