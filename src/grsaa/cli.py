@@ -106,7 +106,7 @@ def build_run(cfg: RunConfig, L: int | None = None, seed: int | None = None):
         raise ValueError(f"seed={cfg.seed}: need a seed >= 0")
     inst = problems.get_instance(cfg.problem, cfg.n)
     sched = make_schedule(cfg.schedule, cfg.N, L)
-    samples = draw_samples(inst.distribution, cfg.N, seed=seed)
+    samples = draw_samples(cfg.N, seed=seed)
     alpha = None
     if cfg.alpha:
         alpha = np.array([_cast("alpha", v, float) for v in cfg.alpha.split(",")])

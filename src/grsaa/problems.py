@@ -25,7 +25,7 @@ from scipy.optimize import root
 from .homotopy import HomotopyMap
 from .newton import NewtonFailure
 from .saa import BlendedMap, StochasticSystem
-from .sampling import SampleSet, UniformBox
+from .sampling import SampleSet
 from .schedule import NodeSchedule
 
 __all__ = [
@@ -47,7 +47,6 @@ _XI_CLIP = 1e-6
 class ProblemInstance:
     name: str
     system: StochasticSystem
-    distribution: UniformBox
     B: np.ndarray | None = None
     b: np.ndarray | None = None
 
@@ -128,14 +127,12 @@ def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray):
 
 def market_instance() -> ProblemInstance:
     system = StochasticSystem(
-        n=3, m=1, residual=market_residual, jacobian=market_jacobian,
+        n=3, residual=market_residual, jacobian=market_jacobian,
         box_lo=np.full(3, 1e-3), box_hi=np.ones(3),
         # strictly interior in {p > 0, Ap < 0, e.p < 1}; the equal-price point
         # violates the first zero-profit row and is not admissible
         x0=np.array([0.40, 0.30, 0.10]))
-    return ProblemInstance(name="market", system=system,
-                           distribution=UniformBox.scalar(-1.0, 1.0),
-                           B=MARKET_B, b=MARKET_b)
+    return ProblemInstance(name="market", system=system, B=MARKET_B, b=MARKET_b)
 
 
 def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
@@ -231,11 +228,10 @@ def sin_expectation_jac(x: np.ndarray) -> np.ndarray:
 
 def sin_instance(n: int) -> ProblemInstance:
     system = StochasticSystem(
-        n=n, m=1, residual=sin_residual, jacobian=sin_jacobian,
+        n=n, residual=sin_residual, jacobian=sin_jacobian,
         box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
         x0=np.zeros(n))
-    return ProblemInstance(name="sin", system=system,
-                           distribution=UniformBox.scalar(-1.0, 1.0))
+    return ProblemInstance(name="sin", system=system)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +290,12 @@ def svi_instance(n: int) -> ProblemInstance:
     stated system are neg(y) and the slacks are pos(y).
     """
     system = StochasticSystem(
-        n=n, m=1, residual=svi_residual, jacobian=svi_jacobian,
+        n=n, residual=svi_residual, jacobian=svi_jacobian,
         box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
         x0=np.zeros(n))
     B = np.vstack([np.eye(n), -np.eye(n)])
     b = np.full(2 * n, 10.0)
-    return ProblemInstance(name="svi", system=system,
-                           distribution=UniformBox.scalar(-1.0, 1.0),
-                           B=B, b=b)
+    return ProblemInstance(name="svi", system=system, B=B, b=b)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class StochasticSystem:
     """A stochastic residual f(x, xi) with its x-Jacobian and domain box."""
 
     n: int
-    m: int
     residual: ResidualFn
     jacobian: JacobianFn
     box_lo: np.ndarray
@@ -95,8 +94,6 @@ class BlendedMap:
     def __post_init__(self):
         if self.schedule.N != self.samples.N:
             raise ValueError("schedule terminal size must equal the sample count")
-        if self.samples.m != self.system.m:
-            raise ValueError("sample dimension does not match the system")
 
     @property
     def L(self) -> int:
@@ -175,30 +172,32 @@ def check_coercivity(bm: BlendedMap) -> dict:
 
     Evaluates (x - x0)^T f(x, xi) at _FACE_POINTS points drawn uniformly on
     each of the 2n faces of the domain box, the same points on every call,
-    and at most _MAX_XI evenly spaced xi's.  A nonpositive minimum is a
-    warning (the condition failed on the tested set), never an error.  The
-    report is JSON-ready.
+    and at most _MAX_XI evenly spaced xi's.  The faces are drawn one at a
+    time from one seeded stream, so memory does not grow with n^2.  A
+    nonpositive minimum is a warning (the condition failed on the tested
+    set), never an error.  The report is JSON-ready.
     """
     sys_ = bm.system
     n = sys_.n
     lo, hi, x0 = sys_.box_lo, sys_.box_hi, sys_.x0
-    faces = np.random.default_rng(0).uniform(lo, hi, size=(2 * n, _FACE_POINTS, n))
-    for j in range(n):  # face 2j holds x_j = lo_j, face 2j + 1 holds x_j = hi_j
-        faces[2 * j, :, j], faces[2 * j + 1, :, j] = lo[j], hi[j]
-    boundary = faces.reshape(-1, n)
 
     step = -(-bm.samples.N // _MAX_XI)
     xis = bm.samples.samples[::step]
     best, arg_x, arg_k = np.inf, None, None
-    for x in boundary:
-        inner = np.asarray(sys_.residual(x, xis)) @ (x - x0)
-        k = int(np.argmin(inner))
-        if inner[k] < best:
-            best, arg_x, arg_k = float(inner[k]), x.tolist(), k * step
+    rng = np.random.default_rng(0)
+    for face in range(2 * n):  # face 2j holds x_j = lo_j, face 2j + 1 x_j = hi_j
+        points = rng.uniform(lo, hi, size=(_FACE_POINTS, n))
+        j = face // 2
+        points[:, j] = hi[j] if face % 2 else lo[j]
+        for x in points:
+            inner = np.asarray(sys_.residual(x, xis)) @ (x - x0)
+            k = int(np.argmin(inner))
+            if inner[k] < best:
+                best, arg_x, arg_k = float(inner[k]), x.tolist(), k * step
     return {
         "min_inner_product": best,
         "warning": best <= 0.0,
-        "boundary_points": len(boundary),
+        "boundary_points": 2 * n * _FACE_POINTS,
         "samples_tested": xis.shape[0],
         "argmin_x": arg_x,
         "argmin_sample_index": arg_k,

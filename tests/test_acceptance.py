@@ -11,13 +11,13 @@ from grsaa.homotopy import transform_derivs
 from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
-from grsaa.tracer import TraceConfig, trace
+from grsaa.tracer import trace
 from grsaa import problems as P
 
 
 def run_trace(problem, n, N, L, seed, schedule="uniform"):
     inst = P.get_instance(problem, n)
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     hm = P.build_homotopy(inst, samples, make_schedule(schedule, N, L))
     return hm, trace(hm)
 
@@ -107,7 +107,7 @@ def test_criterion_6_invariant_suite():
     for problem, n, L in (("sin", 3, 2), ("svi", 1, 2), ("market", 3, 2),
                           ("sin", 3, 4)):
         inst = P.get_instance(problem, n)
-        samples = draw_samples(inst.distribution, 10 ** 4, seed=2)
+        samples = draw_samples(10 ** 4, seed=2)
         bm = BlendedMap(system=inst.system, samples=samples,
                         schedule=make_schedule("uniform", 10 ** 4, L))
         x = inst.system.x0
@@ -120,7 +120,7 @@ def test_criterion_6_invariant_suite():
     # homotopy Jacobians against finite differences at relative 1e-5
     for problem, n in (("sin", 3), ("svi", 2)):
         inst = P.get_instance(problem, n)
-        samples = draw_samples(inst.distribution, 200, seed=3)
+        samples = draw_samples(200, seed=3)
         hm = P.build_homotopy(inst, samples, make_schedule("uniform", 200, 4))
         nodes = np.asarray(hm.blended.schedule.nodes)
         checked = 0
@@ -151,7 +151,7 @@ def test_criterion_6_invariant_suite():
 
     # endpoint exactness and alpha-neutrality of the plain homotopy
     inst = P.sin_instance(3)
-    samples = draw_samples(inst.distribution, 500, seed=4)
+    samples = draw_samples(500, seed=4)
     for alpha in (None, np.array([1.0, -2.0, 0.5])):
         hm = P.build_homotopy(inst, samples, make_schedule("uniform", 500, 5),
                               alpha=alpha)

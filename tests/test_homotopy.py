@@ -12,7 +12,7 @@ from grsaa import problems as P
 
 def plain_map(n=3, N=120, L=4, seed=0, alpha=None):
     inst = P.sin_instance(n)
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     bm = BlendedMap(system=inst.system, samples=samples,
                     schedule=make_schedule("uniform", N, L))
     return HomotopyMap(blended=bm, alpha=alpha)
@@ -20,7 +20,7 @@ def plain_map(n=3, N=120, L=4, seed=0, alpha=None):
 
 def kkt_map(problem="svi", n=2, N=120, L=4, seed=0, alpha=None):
     inst = P.get_instance(problem, n)
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     bm = BlendedMap(system=inst.system, samples=samples,
                     schedule=make_schedule("uniform", N, L))
     return HomotopyMap(blended=bm, alpha=alpha, B=inst.B, b=inst.b)

@@ -127,7 +127,7 @@ def test_ces_clip_is_reported_once_per_solve():
     # sample 9616 of seed 32 has xi > 1 - 1e-6; every kernel call whose
     # prefix reaches it clips it, but the solve reports the clip once
     inst = P.market_instance()
-    samples = draw_samples(inst.distribution, 10 ** 4, seed=32)
+    samples = draw_samples(10 ** 4, seed=32)
     assert samples.samples[9616, 0] > 1.0 - 1e-6
     hm = P.build_homotopy(inst, samples, make_schedule("uniform", 10 ** 4, 100))
     with warnings.catch_warnings(record=True) as caught:
@@ -223,7 +223,7 @@ def test_market_start_point_is_strictly_interior():
 
 def market_bm(N=20000, seed=0):
     inst = P.market_instance()
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     return BlendedMap(system=inst.system, samples=samples,
                       schedule=make_schedule("uniform", N, 1))
 
@@ -288,7 +288,7 @@ def test_sin_expectation_jac_matches_finite_differences():
 
 def test_sin_monte_carlo_agrees_with_expectation():
     inst = P.sin_instance(2)
-    s = draw_samples(inst.distribution, 10 ** 5, seed=9)
+    s = draw_samples(10 ** 5, seed=9)
     x = np.array([0.7, -0.3])
     mc = inst.system.residual(x, s.samples).mean(axis=0)
     assert np.allclose(mc, P.sin_expectation(x), atol=0.05)
@@ -382,7 +382,7 @@ def test_oracle_solve_reaches_tolerance_from_traced_answers(seed):
     # (1.49e-8) hybr stops at residuals of 2.7e-12 to 6.4e-11
     N = 100
     inst = P.sin_instance(3)
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     result = trace(P.build_homotopy(inst, samples, make_schedule("uniform", N, 4)))
     x = P.oracle_solve(inst, result.x_star)
     assert np.linalg.norm(P.sin_expectation(x), np.inf) <= 1e-12
@@ -397,7 +397,7 @@ def test_svi_trace_agrees_with_oracle(n):
     # n = 2 it stops at a residual of 0.135 and raises NewtonFailure
     inst = P.svi_instance(n)
     N, L = 10 ** 4, 1000
-    samples = draw_samples(inst.distribution, N, seed=0)
+    samples = draw_samples(N, seed=0)
     hm = P.build_homotopy(inst, samples, make_schedule("uniform", N, L))
     result = trace(hm)
     assert result.status == "converged"

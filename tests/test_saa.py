@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from grsaa import problems as P
 def identity_in_xi_system():
     """Scalar system f(x, xi) = xi: averages are sample means."""
     return StochasticSystem(
-        n=1, m=1,
+        n=1,
         residual=lambda x, xis: xis.copy(),
         jacobian=lambda x, xis, w: (xis.copy(), np.zeros((1, 1))),
         box_lo=np.array([-2.0]), box_hi=np.array([2.0]), x0=np.array([0.0]))
@@ -28,7 +29,7 @@ def tiny_map():
 
 def sin_map(n=3, N=300, L=4, seed=0):
     inst = P.sin_instance(n)
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     return BlendedMap(system=inst.system, samples=samples,
                       schedule=make_schedule("uniform", N, L))
 
@@ -151,7 +152,7 @@ def test_statistical_consistency_of_full_average():
     for N in (100, 10 ** 4):
         errs = []
         for seed in range(20):
-            s = draw_samples(inst.distribution, N, seed=seed)
+            s = draw_samples(N, seed=seed)
             fN = inst.system.residual(x, s.samples).mean(axis=0)
             errs.append(np.linalg.norm(fN - truth))
         med[N] = np.median(errs)
@@ -168,7 +169,7 @@ def test_mismatched_partition_and_schedule_rejected():
 
 
 def _system(**changes):
-    base = dict(n=1, m=1, residual=None, jacobian=None,
+    base = dict(n=1, residual=None, jacobian=None,
                 box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
                 x0=np.array([0.0]))
     return StochasticSystem(**{**base, **changes})
@@ -185,7 +186,7 @@ def _map(system=None, samples=None):
     (lambda: _system(x0=np.array([0.0, 0.0])), "shape"),
     (lambda: _system(x0=np.array([1.0])), "strictly inside"),
     (lambda: _map(samples=SampleSet(np.zeros((5, 1)))), "sample count"),
-    (lambda: _map(system=_system(m=2)), "sample dimension"),
+    (lambda: _map(samples=SampleSet(np.zeros((4, 2)))), r"\(N, 1\)"),
     (lambda: _map().sample_average(3, np.zeros(1)), "outside 0..2"),
     (lambda: _map().sample_average(-1, np.zeros(1)), "outside 0..2"),
 ], ids=["box-shape", "x0-shape", "x0-on-boundary", "N-mismatch",
@@ -201,7 +202,7 @@ def test_nonfinite_residual_reports_sample_index():
         out[3] = np.nan
         return out
 
-    sys_ = StochasticSystem(n=1, m=1, residual=bad, jacobian=None,
+    sys_ = StochasticSystem(n=1, residual=bad, jacobian=None,
                             box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
                             x0=np.array([0.0]))
     samples = SampleSet(np.zeros((6, 1)))
@@ -220,7 +221,7 @@ def test_nonfinite_residual_reports_sample_index():
 def rows_map(rows):
     """BlendedMap over a scalar system whose kernels return `rows` (q, 1)."""
     sys_ = StochasticSystem(
-        n=1, m=1, residual=lambda x, xis: rows[:xis.shape[0]].copy(),
+        n=1, residual=lambda x, xis: rows[:xis.shape[0]].copy(),
         jacobian=lambda x, xis, w: (rows[:xis.shape[0]].copy(), np.zeros((1, 1))),
         box_lo=np.array([-1.0]), box_hi=np.array([1.0]), x0=np.array([0.0]))
     q = rows.shape[0]
@@ -261,7 +262,7 @@ def problem_maps():
     """One BlendedMap per problem kind, L = 4, with a clipped market sample."""
     for name, n in (("market", 3), ("sin", 3), ("svi", 2)):
         inst = P.get_instance(name, n)
-        samples = draw_samples(inst.distribution, 400, seed=1)
+        samples = draw_samples(400, seed=1)
         samples.samples[150] = 1.0 - 1e-9
         yield BlendedMap(system=inst.system, samples=samples,
                          schedule=make_schedule("uniform", 400, 4))
@@ -340,7 +341,7 @@ def test_evaluate_jacobian_blends_per_sample_jacobians():
 
 def coercive_map(sign):
     sys_ = StochasticSystem(
-        n=2, m=1,
+        n=2,
         residual=lambda x, xis: sign * np.repeat(x[None, :], xis.shape[0], axis=0),
         jacobian=lambda x, xis, w: (
             sign * np.repeat(x[None, :], xis.shape[0], axis=0),
@@ -399,3 +400,42 @@ def test_coercivity_same_point_count_on_every_face():
 def test_coercivity_tests_at_most_200_samples(N, tested):
     report = check_coercivity(sin_map(n=1, N=N, L=2))
     assert report["samples_tested"] == tested
+
+
+# diagnose-coercivity's reports for sin at its default N = 10^4, L = 100 and
+# seed 1: the faces, drawn one at a time, are the points of one (2n, 256, n)
+# draw from the same stream
+COERCIVITY_REPORTS = {
+    3: {"min_inner_product": 40.425051747957156, "warning": False,
+        "boundary_points": 1536, "samples_tested": 200,
+        "argmin_x": [-3.3535195681435077, 10.0, -3.177326227498824],
+        "argmin_sample_index": 700},
+    14: {"min_inner_product": 82.46460126821235, "warning": False,
+         "boundary_points": 7168, "samples_tested": 200,
+         "argmin_x": [1.617557021950752, -0.27313712909312216, 10.0,
+                      -5.542151757919635, 1.2503865592510444,
+                      -1.5233599259280979, 8.317540149422065,
+                      -3.99261356979048, 4.872664999622264,
+                      2.0072582900688722, 1.237577556212761,
+                      -3.4732946045347246, -1.2052256562200157,
+                      -3.899812756903966],
+         "argmin_sample_index": 3200},
+}
+
+
+@pytest.mark.parametrize("n", sorted(COERCIVITY_REPORTS))
+def test_coercivity_report_is_unchanged(n):
+    bm = sin_map(n=n, N=10 ** 4, L=100, seed=1)
+    assert check_coercivity(bm) == COERCIVITY_REPORTS[n]
+
+
+def test_coercivity_memory_does_not_grow_with_n_squared():
+    # all 2n faces at once took (2n, 256, n) doubles: 6.5 MiB at n = 40
+    bm = sin_map(n=40, N=200, L=4)
+    tracemalloc.start()
+    try:
+        check_coercivity(bm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -13,7 +13,7 @@ from grsaa import tracer
 
 def make_hm(problem="sin", n=3, N=1500, L=4, seed=0, schedule="uniform"):
     inst = P.get_instance(problem, n)
-    samples = draw_samples(inst.distribution, N, seed=seed)
+    samples = draw_samples(N, seed=seed)
     return P.build_homotopy(inst, samples, make_schedule(schedule, N, L))
 
 
@@ -102,7 +102,7 @@ def linear_hm(root=2.0, half_width=9.0):
     Root for fixed t: x(t) = root (1-t) theta / ((1-t) theta + t).
     """
     sys_ = StochasticSystem(
-        n=1, m=1,
+        n=1,
         residual=lambda x, xis: np.repeat(x[None, :] - root, xis.shape[0], axis=0),
         jacobian=lambda x, xis, w: (np.repeat(x[None, :] - root, xis.shape[0], axis=0),
                                     w.sum() * np.ones((1, 1))),
