@@ -149,10 +149,11 @@ class HomotopyMap:
         """(h(u, t), J) from one pass of the blended map.
 
         J is the dim x (dim + 1) Jacobian in (u, t), the last column being
-        the t-derivative.
+        the t-derivative.  Both are filled in place, block by block.
         """
         u = np.asarray(u, dtype=float)
-        n, M = self.n, self.M
+        M, n = self.B.shape
+        D = n + M
         x, y = u[:n], u[n:]
         d, dd_dt, dd_dx = self.blended.evaluate(x, t)
         # the operator F and its partials; the constraint terms only for M > 0
@@ -162,18 +163,29 @@ class HomotopyMap:
             F = -d + self.B.T @ tr["neg"]
             dF_dt = -dd_dt + self.B.T @ tr["dneg_dt"]
             dF_dx = -dd_dx
-        h = (1.0 - t) * F + t * (x - self.x0) - t * (1.0 - t) * self.alpha
+        s = 1.0 - t
+        dx = x - self.x0
+        h = np.empty(D)
+        J = np.empty((D, D + 1))  # every block is assigned below
+        # block 1: s F + t dx - t s alpha
+        h1 = np.multiply(F, s, out=h[:n])
+        h1 += t * dx
+        h1 -= t * s * self.alpha
+        # s dF_dx + t I; adding +0.0 everywhere, as t * 0.0 does off the
+        # diagonal, turns a -0.0 product into +0.0
+        Jx = np.multiply(dF_dx, s, out=J[:n, :n])
+        Jx += 0.0
+        J.reshape(-1)[:n * (D + 2):D + 2] += t
+        # -F + s dF_dt + dx - (1 - 2t) alpha
+        Jt = np.multiply(dF_dt, s, out=J[:n, D])
+        Jt -= F
+        Jt += dx
+        Jt -= (1.0 - 2.0 * t) * self.alpha
         if M:
-            h = np.concatenate([h, self.B @ x + tr["pos"] - self.b])
-        J = np.empty((n + M, n + M + 1))  # every block is assigned below
-        # block 1 rows
-        J[:n, :n] = (1.0 - t) * dF_dx + t * np.eye(n)
-        J[:n, n + M] = (-F + (1.0 - t) * dF_dt + (x - self.x0)
-                        - (1.0 - 2.0 * t) * self.alpha)
-        if M:
-            J[:n, n:n + M] = (1.0 - t) * (self.B.T * tr["dneg_dy"])
+            J[:n, n:D] = s * (self.B.T * tr["dneg_dy"])
             # block 2 rows
+            h[n:] = self.B @ x + tr["pos"] - self.b
             J[n:, :n] = self.B
-            J[n:, n:n + M] = np.diag(tr["dpos_dy"])
-            J[n:, n + M] = tr["dpos_dt"]
+            J[n:, n:D] = np.diag(tr["dpos_dy"])
+            J[n:, D] = tr["dpos_dt"]
         return h, J

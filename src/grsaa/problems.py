@@ -165,37 +165,42 @@ def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
 def _eye_plus_rank1(coef: np.ndarray, wsum: float) -> np.ndarray:
     """sum_k w_k (I + c_k 1^T) = (sum w) I + coef 1^T for coef = sum_k w_k c_k."""
     n = coef.size
-    J = np.repeat(coef[:, None], n, axis=1)
-    J.flat[::n + 1] += wsum
+    J = np.empty((n, n))
+    J[...] = coef[:, None]
+    J.reshape(-1)[::n + 1] += wsum
     return J
 
 
 def _angles(x: np.ndarray, xis: np.ndarray):
-    """(x, i, sin a, cos a, T) with a_i = i * sum(x) and T = (cos xi; sin xi),
-    (2, q).  By angle addition sin(a_i + xi_k) = sin a_i cos xi_k + cos a_i
-    sin xi_k and cos(a_i + xi_k) = cos a_i cos xi_k - sin a_i sin xi_k: 2q +
-    2n trig calls instead of 2qn, all but 2n of them on |xi| <= 1."""
+    """(x, i, S, T) with a_i = i * sum(x), S = (sin a; cos a), (2, n), and
+    T = (cos xi; sin xi), (2, q), written in place.  By angle addition
+    sin(a_i + xi_k) = sin a_i cos xi_k + cos a_i sin xi_k and cos(a_i + xi_k)
+    = cos a_i cos xi_k - sin a_i sin xi_k: 2q + 2n trig calls instead of
+    2qn, all but 2n of them on |xi| <= 1."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xis, dtype=float).reshape(-1)
     i = np.arange(1.0, x.size + 1)
-    a = i * x.sum()
-    return x, i, np.sin(a), np.cos(a), np.array((np.cos(xi), np.sin(xi)))
+    a = i * np.add.reduce(x)
+    T = np.empty((2, xi.size))
+    np.cos(xi, out=T[0])
+    np.sin(xi, out=T[1])
+    return x, i, np.array((np.sin(a), np.cos(a))), T
 
 
-def _combine(u: np.ndarray, v: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """u_i T_0k + v_i T_1k, (n, q), element by element, so a row's bits do
-    not depend on q (a matrix product would let BLAS pick its kernel by the
-    batch's shape).  Both products share one (2, n, q) buffer: a second
-    (n, q) temporary made the sin-dims kernel about 40% slower."""
-    B = np.array((u, v))[:, :, None] * T[:, None, :]
+def _combine(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """P_0i T_0k + P_1i T_1k, (n, q), for P (2, n), element by element, so a
+    row's bits do not depend on q (a matrix product would let BLAS pick its
+    kernel by the batch's shape).  Both products share one (2, n, q) buffer:
+    a second (n, q) temporary made the sin-dims kernel about 40% slower."""
+    B = P[:, :, None] * T[:, None, :]
     B[0] += B[1]
     return B[0]
 
 
 def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
-    x, _, sa, ca, T = _angles(x, xis)
-    F = _combine(-5.0 * sa, -5.0 * ca, T)
+    x, _, S, T = _angles(x, xis)
+    F = _combine(-5.0 * S, T)
     F += x[:, None]
     return F.T
 
@@ -204,12 +209,13 @@ def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
     """(F, sum_k w_k J_k): sin_residual's rows and the w-weighted sum of
     their x-Jacobians I + c_k 1^T, c_ki = -5 i cos(a_i + xi_k), whose sum
     needs only T @ w = (w.cos xi, w.sin xi)."""
-    x, i, sa, ca, T = _angles(x, xis)
-    sa, ca = -5.0 * sa, -5.0 * ca
-    F = _combine(sa, ca, T)
+    x, i, S, T = _angles(x, xis)
+    S *= -5.0
+    F = _combine(S, T)
     F += x[:, None]
     u = T @ w
-    return F.T, _eye_plus_rank1(i * (ca * u[0] - sa * u[1]), w.sum())
+    return F.T, _eye_plus_rank1(i * (S[1] * u[0] - S[0] * u[1]),
+                                np.add.reduce(w))
 
 
 def sin_expectation(x: np.ndarray) -> np.ndarray:
@@ -240,20 +246,20 @@ def sin_instance(n: int) -> ProblemInstance:
 
 def svi_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi))."""
-    x, _, sa, ca, T = _angles(x, xis)
-    E = np.exp(_combine(ca, -sa, T))
+    x, _, S, T = _angles(x, xis)
+    E = np.exp(_combine(np.array((S[1], -S[0])), T))
     return np.subtract(x[:, None], E, out=E).T
 
 
 def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
     """(F, sum_k w_k J_k): svi_residual's rows and the w-weighted sum of
     their x-Jacobians I + c_k 1^T, c_ki = i exp(cos(a_i + xi_k)) sin(a_i + xi_k)."""
-    x, i, sa, ca, T = _angles(x, xis)
-    E = np.exp(_combine(ca, -sa, T))
-    coef = _combine(sa, ca, T)
+    x, i, S, T = _angles(x, xis)
+    E = np.exp(_combine(np.array((S[1], -S[0])), T))
+    coef = _combine(S, T)
     coef *= E
     return (np.subtract(x[:, None], E, out=E).T,
-            _eye_plus_rank1(i * (coef @ w), w.sum()))
+            _eye_plus_rank1(i * (coef @ w), np.add.reduce(w)))
 
 
 def _exp_cos_mean(a: float) -> float:

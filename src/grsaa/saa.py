@@ -21,6 +21,7 @@ q_l per-sample Jacobians.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,20 +107,21 @@ class BlendedMap:
         first q samples.
 
         One kernel call either way: `residual` for F alone, the fused
-        `jacobian` pass when weights w (q,) are given.  The sum must be
-        finite, as it is not when any row is NaN or infinite; only then are
-        the rows scanned, to name the first bad one.  Each call adds q to
-        eval_counter and, with w, q to jac_counter.
+        `jacobian` pass when weights w (q,) are given.  The column sums must
+        be finite, as they are not when any row is NaN or infinite.  One
+        reduce checks them: their sum is finite only if each of them is.
+        Only a non-finite sum reads them one by one (finite ones whose own
+        sum overflows pass), and only a non-finite one scans the rows, to
+        name the first bad one.  Each call adds q to eval_counter and, with
+        w, q to jac_counter.
         """
-        x = np.asarray(x, dtype=float)
         xis = self.samples.samples[:q]
         if w is not None:
             vals, jac = self.system.jacobian(x, xis, w)
         else:
             vals, jac = self.system.residual(x, xis), None
-        vals = np.asarray(vals, dtype=float)
-        total = vals.sum(axis=0)
-        if not np.isfinite(total).all():
+        total = np.add.reduce(vals, 0)
+        if not math.isfinite(np.add.reduce(total)) and not np.isfinite(total).all():
             bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
             raise FloatingPointError(
                 f"non-finite residual at sample index {bad[0]} (x={x})" if bad.size
@@ -149,7 +151,6 @@ class BlendedMap:
         at nodes, and dd/dx = sum_k w_k J_k, where w_k = theta/q_l on every
         row plus (1 - theta)/q_{l-1} on the first q_{l-1}.
         """
-        x = np.asarray(x, dtype=float)
         ell, th, thp = self.schedule.blend(t)
         q_lo, q_hi = self.schedule.q[ell - 1], self.schedule.q[ell]
         # theta = 0 only at t = 1, where theta' = 0 too: the rows past q_lo
@@ -157,10 +158,12 @@ class BlendedMap:
         # not the q_hi average, enters only times zero
         q = q_hi if th > 0 else q_lo
         # on segment 1, q_lo = 0: the head slices are empty and f^0 is +0.0
-        w = np.full(q, th / q_hi)
-        w[:q_lo] += (1.0 - th) / max(q_lo, 1)
+        lo = max(q_lo, 1)
+        w = np.empty(q)
+        w.fill(th / q_hi)
+        w[:q_lo] += (1.0 - th) / lo
         vals, total, dd_dx = self._residual_block(x, q, w)
-        f_lo = vals[:q_lo].sum(axis=0) / max(q_lo, 1)
+        f_lo = np.add.reduce(vals[:q_lo], 0) / lo
         f_hi = total / q_hi
         d = (1.0 - th) * f_lo + th * f_hi
         dd_dt = thp * (f_hi - f_lo)

@@ -21,10 +21,11 @@ estimate; a near-singular or non-finite bordered matrix is refused:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgesv, dlange
 
 from .homotopy import HomotopyMap
 from .schedule import NodeSchedule
@@ -91,25 +92,35 @@ class TraceResult:
         return self.u_star[: self.n]
 
 
+def _inf_norm(r: np.ndarray) -> float:
+    """||r||_inf, NaN when r holds a NaN."""
+    return float(np.maximum.reduce(np.abs(r)))
+
+
 def _bordered_solve(J: np.ndarray, row: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray | None:
     """Solution z of [J; row] z = rhs, or None when the bordered matrix A is
     near-singular.
 
-    One LU factorization of A (dgetrf) gives both the solve (dgetrs) and
-    dgecon's estimate rcond of 1 / cond_1(A) from ||A||_1.  The solve is
-    refused when a pivot is exactly zero or rcond * _COND_LIMIT < 1; a NaN
-    or inf entry makes ||A||_1, and so rcond, NaN or 0 and is refused too.
+    A is filled in place in a Fortran-order buffer, which LAPACK factors
+    without a copy.  One call (dgesv) factors A = LU and solves; the LU
+    factors give dgecon's estimate rcond of 1 / cond_1(A) from ||A||_1
+    (dlange, which sums each column in order).  The solution is refused when
+    a pivot is exactly zero or rcond * _COND_LIMIT < 1; a NaN or inf entry
+    makes ||A||_1, and so rcond, NaN or 0 and is refused too.
     """
-    A = np.vstack([J, row])
-    norm1 = np.abs(A).sum(axis=0).max()
-    lu, piv, info = dgetrf(A)
+    d = J.shape[0]
+    A = np.empty((d + 1, d + 1), order="F")
+    A[:d] = J
+    A[d] = row
+    norm1 = dlange("1", A)
+    lu, _, z, info = dgesv(A, rhs, overwrite_a=1)
     if info != 0:
         return None
     rcond = dgecon(lu, norm1)[0]
     if not rcond * _COND_LIMIT >= 1.0:  # also false for a NaN rcond
         return None
-    return dgetrs(lu, piv, rhs)[0]
+    return z
 
 
 def tangent(J: np.ndarray, prev: np.ndarray) -> np.ndarray | None:
@@ -149,24 +160,27 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
     anchor = np.concatenate([u_pred, [min(max(t_pred, 0.0), 1.0)]])
     v = anchor.copy()
     base, base_res, step = v, np.inf, None  # the iterate a step is halved back to
+    rhs = np.empty(d + 1)  # -(h, tau . (v - anchor)), refilled each iteration
     for it in range(cfg.max_corrector_iters + 1):
+        t = float(v[d])
         try:
-            r, J = hm.evaluate(v[:d], v[d])
-            res = float(np.linalg.norm(r, np.inf))
+            r, J = hm.evaluate(v[:d], t)
+            res = _inf_norm(r)
         except FloatingPointError:
             res = np.nan
         if res <= tol:
-            return v[:d], float(v[d]), it, res, J
+            return v[:d], t, it, res, J
         if it == cfg.max_corrector_iters:
             return None
         if fixed_t and step is not None and not res < base_res:
             step = step / 2
             v = base + step
             continue
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             return None
-        rhs = np.concatenate([r, [tau @ (v - anchor)]])
-        step = _bordered_solve(J, tau, -rhs)
+        np.negative(r, out=rhs[:d])
+        rhs[d] = -(tau @ (v - anchor))
+        step = _bordered_solve(J, tau, rhs)
         if step is None:
             return None
         base, base_res = v, res
@@ -200,7 +214,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     u = hm.start_point()
     t = 1.0
     r, J = hm.evaluate(u, t)
-    path = [point(u, t, 0.0, 0, float(np.linalg.norm(r, np.inf)))]
+    path = [point(u, t, 0.0, 0, _inf_norm(r))]
     counters = {"predictor_steps": 0, "rejected_steps": 0,
                 "corrector_iters_total": 0, "sample_evals": 0, "jac_evals": 0}
 
@@ -208,8 +222,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         # counted before the full-sample diagnostic pass, which is not solver work
         counters["sample_evals"] = bm.eval_counter - evals0
         counters["jac_evals"] = bm.jac_counter - jacs0
-        saa = float(np.linalg.norm(bm.sample_average(bm.L, path[-1].u[:n]),
-                                   np.inf))
+        saa = _inf_norm(bm.sample_average(bm.L, path[-1].u[:n]))
         return TraceResult(status=status, saa_residual=saa, path=path,
                            counters=counters, n=n)
 

@@ -283,3 +283,61 @@ def test_jac_kkt_structure_and_finite_differences():
             fd_t = (value(hm, u, t + h) - value(hm, u, t - h)) / (2 * h)
             assert np.allclose(J[:, dim], fd_t, rtol=1e-5, atol=1e-5)
             checked += 1
+
+
+# -- in-place assembly equals the textbook formula -------------------------
+
+def textbook_evaluate(hm, u, t):
+    """HomotopyMap.evaluate written as the formulas read, one fresh array
+    per term: the reference its in-place assembly must equal bit for bit."""
+    n, M = hm.n, hm.M
+    x, y = u[:n], u[n:]
+    d, dd_dt, dd_dx = hm.blended.evaluate(x, t)
+    F, dF_dt, dF_dx = d, dd_dt, dd_dx
+    if M:
+        tr = transform_derivs(y, t, KAPPA0)
+        F = -d + hm.B.T @ tr["neg"]
+        dF_dt = -dd_dt + hm.B.T @ tr["dneg_dt"]
+        dF_dx = -dd_dx
+    h = (1.0 - t) * F + t * (x - hm.x0) - t * (1.0 - t) * hm.alpha
+    if M:
+        h = np.concatenate([h, hm.B @ x + tr["pos"] - hm.b])
+    J = np.empty((n + M, n + M + 1))
+    J[:n, :n] = (1.0 - t) * dF_dx + t * np.eye(n)
+    J[:n, n + M] = (-F + (1.0 - t) * dF_dt + (x - hm.x0)
+                    - (1.0 - 2.0 * t) * hm.alpha)
+    if M:
+        J[:n, n:n + M] = (1.0 - t) * (hm.B.T * tr["dneg_dy"])
+        J[n:, :n] = hm.B
+        J[n:, n:n + M] = np.diag(tr["dpos_dy"])
+        J[n:, n + M] = tr["dpos_dt"]
+    return h, J
+
+
+@pytest.mark.parametrize("problem", ["sin", "market"])
+def test_evaluate_equals_the_textbook_formula_bit_for_bit(problem):
+    # bytes, not values: -0.0 and +0.0 differ, and x* is fingerprinted by
+    # its bytes; t = 1, a node, an interior t and the terminal level
+    if problem == "sin":
+        hm = plain_map(alpha=np.array([0.3, -0.8, 0.1]))
+        rng = np.random.default_rng(5)
+        us = [rng.uniform(-2.0, 2.0, 3) for _ in range(4)] + [np.array([2.0, 0.0, 0.0])]
+    else:
+        hm = kkt_map("market", 3, N=80, L=3, alpha=np.array([0.5, -0.3, 0.2]))
+        rng = np.random.default_rng(6)
+        us = [np.concatenate([rng.uniform(0.1, 0.9, 3), rng.uniform(-2.0, 2.0, 6)])
+              for _ in range(4)] + [hm.start_point()]
+    node = hm.blended.schedule.nodes[1]
+    for u in us:
+        for t in (1.0, node, 0.6180339887, hm.t_end):
+            h, J = hm.evaluate(u, t)
+            h_ref, J_ref = textbook_evaluate(hm, u, t)
+            assert h.tobytes() == h_ref.tobytes(), (u, t)
+            assert J.tobytes() == J_ref.tobytes(), (u, t)
+    if problem == "sin":
+        # at t = 1, (1 - t) dd/dx is -0.0 wherever dd/dx is negative or -0.0;
+        # the formula's + t * 0.0 makes those entries +0.0, and so must J
+        x = np.array([2.0, 0.0, 0.0])
+        assert np.signbit(hm.blended.evaluate(x, 1.0)[2]).any()
+        Jx = hm.evaluate(x, 1.0)[1][:, :3]
+        assert Jx[~np.eye(3, dtype=bool)].tobytes() == np.zeros(6).tobytes()

@@ -320,6 +320,49 @@ def test_angle_addition_kernels_match_direct_formulas():
                 assert np.max(np.abs(J - J_want)) <= 1e-12 * np.max(np.abs(J_want))
 
 
+def textbook_trig_kernels(x, xis, w):
+    """sin's and svi's fused kernels with one fresh array per term: the
+    reference that their in-place angle-addition code must equal bit for bit."""
+    i = np.arange(1.0, x.size + 1)
+    a = i * x.sum()
+    sa, ca = np.sin(a), np.cos(a)
+    xi = xis.reshape(-1)
+    T = np.array((np.cos(xi), np.sin(xi)))
+
+    def combine(u, v):
+        B = np.array((u, v))[:, :, None] * T[:, None, :]
+        return B[0] + B[1]
+
+    def eye_plus_rank1(coef):
+        J = np.repeat(coef[:, None], x.size, axis=1)
+        J.flat[::x.size + 1] += w.sum()
+        return J
+
+    u = T @ w
+    sa5, ca5 = -5.0 * sa, -5.0 * ca
+    E = np.exp(combine(ca, -sa))
+    return {"sin": ((combine(sa5, ca5) + x[:, None]).T,
+                    eye_plus_rank1(i * (ca5 * u[0] - sa5 * u[1]))),
+            "svi": ((x[:, None] - E).T,
+                    eye_plus_rank1(i * ((combine(sa, ca) * E) @ w)))}
+
+
+def test_trig_kernels_equal_the_textbook_terms_bit_for_bit():
+    rng = np.random.default_rng(9)
+    xis = rng.uniform(-1.0, 1.0, (100, 1))
+    for n in (1, 3, 8):
+        for q in (0, 1, 55, 100):  # q = 0 is the pass at t = 1
+            x = rng.uniform(-10.0, 10.0, n)
+            w = rng.uniform(0.0, 1.0, q)
+            want = textbook_trig_kernels(x, xis[:q], w)
+            for name, (F_want, J_want) in want.items():
+                system = P.get_instance(name, n).system
+                F, J = system.jacobian(x, xis[:q], w)
+                assert F.tobytes() == F_want.tobytes(), (name, n, q)
+                assert J.tobytes() == J_want.tobytes(), (name, n, q)
+                assert system.residual(x, xis[:q]).tobytes() == F_want.tobytes()
+
+
 # -- svi ---------------------------------------------------------------------
 
 def exp_cos_mean_series(a):

@@ -339,6 +339,74 @@ def test_evaluate_jacobian_blends_per_sample_jacobians():
                 assert np.allclose(bm.evaluate(x, t)[2], want, rtol=1e-5, atol=1e-6)
 
 
+def two_column_map(rows):
+    """BlendedMap over a system with n = 2 whose kernels return `rows` (q, 2)."""
+    sys_ = StochasticSystem(
+        n=2, residual=lambda x, xis: rows[:xis.shape[0]].copy(),
+        jacobian=lambda x, xis, w: (rows[:xis.shape[0]].copy(), np.zeros((2, 2))),
+        box_lo=-np.ones(2), box_hi=np.ones(2), x0=np.zeros(2))
+    q = rows.shape[0]
+    return BlendedMap(system=sys_, samples=SampleSet(np.zeros((q, 1))),
+                      schedule=make_schedule("uniform", q, 1))
+
+
+def test_column_sums_of_opposite_infinities_name_the_row():
+    # column sums (+inf, -inf) add up to NaN: the one-reduce check sees it
+    rows = np.ones((5, 2))
+    rows[2] = (np.inf, -np.inf)
+    bm = two_column_map(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in that sum
+        for call in (lambda: bm.sample_average(1, np.zeros(2)),
+                     lambda: bm.evaluate(np.zeros(2), 0.0)):
+            with pytest.raises(FloatingPointError, match="sample index 2 "):
+                call()
+    assert (bm.eval_counter, bm.jac_counter) == (0, 0)
+
+
+def test_finite_column_sums_whose_sum_overflows_pass():
+    # each column sums to 1e308, finite; only their own sum overflows, which
+    # sends the check to the column sums one by one, and those pass
+    rows = np.full((2, 2), 5e307)
+    bm = two_column_map(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in that sum
+        assert np.array_equal(bm.sample_average(1, np.zeros(2)), np.full(2, 5e307))
+        d = bm.evaluate(np.zeros(2), 0.0)[0]
+    assert np.array_equal(d, np.full(2, 5e307))
+    assert (bm.eval_counter, bm.jac_counter) == (4, 2)
+
+
+def textbook_blend(bm, x, t):
+    """BlendedMap.evaluate as the formulas read: the kernel called directly
+    with explicit weights w, then the two sample averages and the blend."""
+    ell, th, thp = bm.schedule.blend(t)
+    q_lo, q_hi = bm.schedule.q[ell - 1], bm.schedule.q[ell]
+    q = q_hi if th > 0 else q_lo
+    w = np.full(q, th / q_hi)
+    w[:q_lo] += (1.0 - th) / max(q_lo, 1)
+    vals, dd_dx = bm.system.jacobian(x, bm.samples.samples[:q], w)
+    f_lo = vals[:q_lo].sum(axis=0) / max(q_lo, 1)
+    f_hi = vals.sum(axis=0) / q_hi
+    return (1.0 - th) * f_lo + th * f_hi, thp * (f_hi - f_lo), dd_dx
+
+
+@pytest.mark.parametrize("problem, x", [
+    ("sin", np.array([0.4, -1.3, 0.7])),
+    ("market", np.array([0.35, 0.45, 0.2])),
+])
+def test_evaluate_equals_a_direct_kernel_call_bit_for_bit(problem, x):
+    inst = P.get_instance(problem, 3)
+    bm = BlendedMap(system=inst.system, samples=draw_samples(90, seed=2),
+                    schedule=make_schedule("uniform", 90, 3))
+    # t = 1, a node, an interior t on each later segment, and t = 0
+    for t in (1.0, bm.schedule.nodes[1], 0.8, 0.5, 0.1, 0.0):
+        got = bm.evaluate(x, t)
+        want = textbook_blend(bm, x, t)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), t
+
+
 def coercive_map(sign):
     sys_ = StochasticSystem(
         n=2,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from grsaa.homotopy import HomotopyMap
 from grsaa.sampling import SampleSet, draw_samples
@@ -91,6 +91,50 @@ def test_bordered_solve_matches_numpy(size):
         z = tracer._bordered_solve(A[:-1], A[-1], rhs)
         ref = np.linalg.solve(A, rhs)
         assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def textbook_bordered_solve(J, row, rhs):
+    """The bordered solve as first written: [J; row] stacked into a fresh
+    array, ||A||_1 from numpy, dgetrf and dgetrs on their own copies."""
+    A = np.vstack([J, row])
+    norm1 = np.abs(A).sum(axis=0).max()
+    lu, piv, info = dgetrf(A)
+    if info != 0:
+        return None
+    rcond = dgecon(lu, norm1)[0]
+    if not rcond * tracer._COND_LIMIT >= 1.0:
+        return None
+    return dgetrs(lu, piv, rhs)[0]
+
+
+def bordered_cases():
+    rng = np.random.default_rng(11)
+    for size in range(2, 11):
+        for _ in range(10):
+            yield rng.normal(size=(size, size)), rng.normal(size=size)
+        # the condition limit itself: cond_1 = 1e12 up to rounding
+        for last in (1e-12, 1e-12 * (1 + 2 ** -50), 1e-12 * (1 - 2 ** -50)):
+            small = np.ones(size)
+            small[-1] = last
+            yield np.diag(small), np.ones(size)
+        for bad in (np.nan, np.inf, -np.inf):
+            A = rng.normal(size=(size, size))
+            A[rng.integers(size), rng.integers(size)] = bad
+            yield A, np.ones(size)
+        yield np.zeros((size, size)), np.ones(size)
+
+
+def test_bordered_solve_equals_the_textbook_solve_bit_for_bit():
+    for A, rhs in bordered_cases():
+        # dlange sums each column in order, as numpy's axis-0 sum does
+        norm_ref = np.abs(A).sum(axis=0).max()
+        norm = dlange("1", np.asfortranarray(A))
+        assert norm == norm_ref or (np.isnan(norm) and np.isnan(norm_ref))
+        z = tracer._bordered_solve(A[:-1], A[-1], rhs.copy())
+        ref = textbook_bordered_solve(A[:-1], A[-1], rhs.copy())
+        assert (z is None) == (ref is None), A
+        if z is not None:
+            assert z.tobytes() == ref.tobytes(), A
 
 
 # -- corrector on a closed-form path ----------------------------------------
