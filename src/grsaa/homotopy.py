@@ -9,7 +9,7 @@ empty and F = d(x, t), the blended sample-average map, so the map at t = 0
 is the full-sample SAA.  With constraints F = -d + B^T neg(y, t): the
 convention d = B^T lambda, lambda = neg(y, t).  It states the market
 equilibrium, where excess demand equals B^T z; the box-constrained svi needs
-d + B^T lambda instead and is traced with the wrong sign (see ROADMAP).
+d + B^T lambda instead and is traced with the wrong sign (ROADMAP item 2).
 alpha bends the interior of the path in either form and vanishes at both
 ends.
 

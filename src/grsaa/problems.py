@@ -8,8 +8,12 @@ interior reference point, and (where one exists) an independent ground-truth
 oracle built on the analytic expectation of the residual.  Kernels build
 (n, q) arrays element by element and return F as their column-major (q, n)
 transpose, so a row's bits do not depend on how many rows a call has.
-Market shares one softmax column per sample across its goods; sin and svi
-expand sin(i sum(x) + xi) by angle addition, 2q + 2n trig calls a pass.
+Each problem also tabulates the terms that depend on xi alone, which a
+blended map computes once over all N samples and passes, column-sliced, to
+every kernel call: e = 1/(xi - 1) for market, (cos xi; sin xi) for sin and
+svi.  Market shares one softmax column per sample across its goods; sin and
+svi expand sin(i sum(x) + xi) by angle addition, 2n trig calls a pass plus
+2N once per map.
 """
 
 from __future__ import annotations
@@ -75,25 +79,33 @@ MARKET_b = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 MARKET_SOLUTION = np.array([0.40, 0.45, 0.15])
 
 
-def _market_parts(p: np.ndarray, xis: np.ndarray):
-    """Shared pieces of the CES demand, computed in log space.
+def _market_table(xis: np.ndarray) -> np.ndarray:
+    """The CES exponents e = 1/(min(xi, 1 - 1e-6) - 1) as one (1, q) row.
 
-    p_i^(1/(xi-1)) overflows for xi near 1, so with l = log p good i's
-    denominator is a_i^e exp(logsumexp_j v_j), v_j = (1+e) l_j - e log a_j:
-    one softmax column s per sample serves all goods, and the share p_i^e /
-    denominator_i is s_i / p_i, bounded for all xi in [-1, 1).  Built as
-    (3, q) arrays and returned as their (q, 3) transposes.  The clip is a
-    RuntimeWarning with a fixed message, so Python's default filter shows
-    it once rather than on every kernel call; softmax may be overwritten."""
-    p = np.asarray(p, dtype=float)
+    The clip is a RuntimeWarning with a fixed message, so Python's default
+    filter shows it once rather than on every call."""
     xi = np.asarray(xis, dtype=float).reshape(-1)
     if np.any(xi > 1.0 - _XI_CLIP):
         warnings.warn("clipped CES substitution sample(s) to xi = 1 - 1e-6",
                       RuntimeWarning)
         xi = np.minimum(xi, 1.0 - _XI_CLIP)
+    return (1.0 / (xi - 1.0))[None, :]
+
+
+def _market_parts(p: np.ndarray, xis: np.ndarray, tab: np.ndarray | None):
+    """Shared pieces of the CES demand, computed in log space.
+
+    p_i^(1/(xi-1)) overflows for xi near 1, so with l = log p good i's
+    denominator is a_i^e exp(logsumexp_j v_j), v_j = (1+e) l_j - e log a_j:
+    one softmax column s per sample serves all goods, and the share p_i^e /
+    denominator_i is s_i / p_i, bounded for all xi in [-1, 1).  e is read
+    from tab, or tabulated from xis when tab is None.  Built as (3, q)
+    arrays and returned as their (q, 3) transposes; softmax may be
+    overwritten."""
+    p = np.asarray(p, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         l = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
-    e = 1.0 / (xi - 1.0)  # (q,)
+    e = (_market_table(xis) if tab is None else tab)[0]  # (q,)
     v = np.multiply.outer(l, 1.0 + e)
     v -= np.multiply.outer(_LOG_A, e)  # (3, q)
     v -= v.max(axis=0)
@@ -102,16 +114,18 @@ def _market_parts(p: np.ndarray, xis: np.ndarray):
     return p, e, (softmax / p[:, None]).T, softmax.T
 
 
-def market_residual(p: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def market_residual(p: np.ndarray, xis: np.ndarray,
+                    tab: np.ndarray | None = None) -> np.ndarray:
     """Excess demand f(p, xi) = (p.w) * (p_1/g_1, p_2/g_2, p_3/g_3), w = 1."""
-    p, _, share, _ = _market_parts(p, xis)
+    p, _, share, _ = _market_parts(p, xis, tab)
     return p.sum() * share
 
 
-def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray):
+def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray,
+                    tab: np.ndarray | None = None):
     """(F, sum_k w_k J_k): market_residual's rows and the w-weighted sum of
     their p-Jacobians from one pass."""
-    p, e, share, softmax = _market_parts(p, xis)
+    p, e, share, softmax = _market_parts(p, xis, tab)
     S = p.sum()
     # J_k = share_k 1^T + S * dshare_k with dshare_k,ij = share_ki *
     # (e_k d_ij - (1+e_k) softmax_kj) / p_j, so the weighted sum is
@@ -128,7 +142,7 @@ def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray):
 def market_instance() -> ProblemInstance:
     system = StochasticSystem(
         n=3, residual=market_residual, jacobian=market_jacobian,
-        box_lo=np.full(3, 1e-3), box_hi=np.ones(3),
+        tabulate=_market_table, box_lo=np.full(3, 1e-3), box_hi=np.ones(3),
         # strictly interior in {p > 0, Ap < 0, e.p < 1}; the equal-price point
         # violates the first zero-profit row and is not admissible
         x0=np.array([0.40, 0.30, 0.10]))
@@ -171,20 +185,27 @@ def _eye_plus_rank1(coef: np.ndarray, wsum: float) -> np.ndarray:
     return J
 
 
-def _angles(x: np.ndarray, xis: np.ndarray):
-    """(x, i, S, T) with a_i = i * sum(x), S = (sin a; cos a), (2, n), and
-    T = (cos xi; sin xi), (2, q), written in place.  By angle addition
-    sin(a_i + xi_k) = sin a_i cos xi_k + cos a_i sin xi_k and cos(a_i + xi_k)
-    = cos a_i cos xi_k - sin a_i sin xi_k: 2q + 2n trig calls instead of
-    2qn, all but 2n of them on |xi| <= 1."""
-    x = np.asarray(x, dtype=float)
+def _trig_table(xis: np.ndarray) -> np.ndarray:
+    """T = (cos xi; sin xi), (2, q), written in place."""
     xi = np.asarray(xis, dtype=float).reshape(-1)
-    i = np.arange(1.0, x.size + 1)
-    a = i * np.add.reduce(x)
     T = np.empty((2, xi.size))
     np.cos(xi, out=T[0])
     np.sin(xi, out=T[1])
-    return x, i, np.array((np.sin(a), np.cos(a))), T
+    return T
+
+
+def _angles(x: np.ndarray, xis: np.ndarray, tab: np.ndarray | None):
+    """(x, i, S, T) with a_i = i * sum(x), S = (sin a; cos a), (2, n), and
+    T = (cos xi; sin xi), (2, q), read from tab or, when tab is None,
+    tabulated from xis.  By angle addition sin(a_i + xi_k) = sin a_i cos xi_k
+    + cos a_i sin xi_k and cos(a_i + xi_k) = cos a_i cos xi_k - sin a_i
+    sin xi_k: 2n trig calls a pass instead of 2qn, plus the 2N on |xi| <= 1
+    that a blended map tabulates once."""
+    x = np.asarray(x, dtype=float)
+    i = np.arange(1.0, x.size + 1)
+    a = i * np.add.reduce(x)
+    return (x, i, np.array((np.sin(a), np.cos(a))),
+            _trig_table(xis) if tab is None else tab)
 
 
 def _combine(P: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -197,19 +218,21 @@ def _combine(P: np.ndarray, T: np.ndarray) -> np.ndarray:
     return B[0]
 
 
-def sin_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def sin_residual(x: np.ndarray, xis: np.ndarray,
+                 tab: np.ndarray | None = None) -> np.ndarray:
     """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
-    x, _, S, T = _angles(x, xis)
+    x, _, S, T = _angles(x, xis, tab)
     F = _combine(-5.0 * S, T)
     F += x[:, None]
     return F.T
 
 
-def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
+def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray,
+                 tab: np.ndarray | None = None):
     """(F, sum_k w_k J_k): sin_residual's rows and the w-weighted sum of
     their x-Jacobians I + c_k 1^T, c_ki = -5 i cos(a_i + xi_k), whose sum
     needs only T @ w = (w.cos xi, w.sin xi)."""
-    x, i, S, T = _angles(x, xis)
+    x, i, S, T = _angles(x, xis, tab)
     S *= -5.0
     F = _combine(S, T)
     F += x[:, None]
@@ -235,7 +258,7 @@ def sin_expectation_jac(x: np.ndarray) -> np.ndarray:
 def sin_instance(n: int) -> ProblemInstance:
     system = StochasticSystem(
         n=n, residual=sin_residual, jacobian=sin_jacobian,
-        box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
+        tabulate=_trig_table, box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
         x0=np.zeros(n))
     return ProblemInstance(name="sin", system=system)
 
@@ -244,17 +267,19 @@ def sin_instance(n: int) -> ProblemInstance:
 # stochastic variational inequality over the box [-10, 10]^n
 # ---------------------------------------------------------------------------
 
-def svi_residual(x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def svi_residual(x: np.ndarray, xis: np.ndarray,
+                 tab: np.ndarray | None = None) -> np.ndarray:
     """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi))."""
-    x, _, S, T = _angles(x, xis)
+    x, _, S, T = _angles(x, xis, tab)
     E = np.exp(_combine(np.array((S[1], -S[0])), T))
     return np.subtract(x[:, None], E, out=E).T
 
 
-def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray):
+def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray,
+                 tab: np.ndarray | None = None):
     """(F, sum_k w_k J_k): svi_residual's rows and the w-weighted sum of
     their x-Jacobians I + c_k 1^T, c_ki = i exp(cos(a_i + xi_k)) sin(a_i + xi_k)."""
-    x, i, S, T = _angles(x, xis)
+    x, i, S, T = _angles(x, xis, tab)
     E = np.exp(_combine(np.array((S[1], -S[0])), T))
     coef = _combine(S, T)
     coef *= E
@@ -297,7 +322,7 @@ def svi_instance(n: int) -> ProblemInstance:
     """
     system = StochasticSystem(
         n=n, residual=svi_residual, jacobian=svi_jacobian,
-        box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
+        tabulate=_trig_table, box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
         x0=np.zeros(n))
     B = np.vstack([np.eye(n), -np.eye(n)])
     b = np.full(2 * n, 10.0)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,24 +39,31 @@ _FACE_POINTS = 256
 _MAX_XI = 200
 
 # Residual evaluators are batched over samples for speed:
-#   residual(x, xis) -> F, (q, n) stacking f(x, xi_i) row-wise, stored
+#   residual(x, xis[, tab]) -> F, (q, n) stacking f(x, xi_i) row-wise, stored
 #       column-major (the .T of a C-contiguous (n, q) array): the blend's
 #       sums over samples, F.sum(axis=0) and F[:q_lo].sum(axis=0), then each
 #       run down n contiguous columns instead of across q short rows; a
 #       row's bits may not depend on q, because evaluate reads f^{l-1} from
 #       the head of a q_l pass and sample_average(l-1) makes its own pass
-#   jacobian(x, xis, w) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k) for
-#       weights w (q,); one fused pass whose F must equal residual(x, xis)
-#       bit for bit, because the tracer reads F from here while the reported
-#       saa_residual and the market check read residual
-ResidualFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-JacobianFn = Callable[[np.ndarray, np.ndarray, np.ndarray],
-                      tuple[np.ndarray, np.ndarray]]
+#   jacobian(x, xis, w[, tab]) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k)
+#       for weights w (q,); one fused pass whose F must equal
+#       residual(x, xis) bit for bit, because the tracer reads F from here
+#       while the reported saa_residual and the market check read residual
+#   tabulate(xis) -> tab, optional: the (k, q) C-contiguous terms that depend
+#       on the samples alone (sin's and svi's cos xi and sin xi, 2N trig
+#       calls, leaving 2n a pass).  A blended map tabulates all N samples on
+#       its first pass and hands each kernel call the columns of its q rows,
+#       tab[:, :q], which must give the bits of the call without tab; a
+#       system without tabulate gets two- and three-argument calls
+ResidualFn = Callable[..., np.ndarray]
+JacobianFn = Callable[..., tuple[np.ndarray, np.ndarray]]
+TabulateFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class StochasticSystem:
-    """A stochastic residual f(x, xi) with its x-Jacobian and domain box."""
+    """A stochastic residual f(x, xi) with its x-Jacobian, domain box and,
+    optionally, the table of its sample-only terms."""
 
     n: int
     residual: ResidualFn
@@ -63,6 +71,7 @@ class StochasticSystem:
     box_lo: np.ndarray
     box_hi: np.ndarray
     x0: np.ndarray
+    tabulate: TabulateFn | None = None
 
     def __post_init__(self):
         lo = np.asarray(self.box_lo, dtype=float)
@@ -100,6 +109,17 @@ class BlendedMap:
     def L(self) -> int:
         return self.schedule.L
 
+    @cached_property
+    def _table(self) -> np.ndarray | None:
+        """The system's table over all N samples (None without tabulate),
+        made on the first pass rather than at set-up; read-only, since
+        every pass reads it."""
+        if self.system.tabulate is None:
+            return None
+        tab = self.system.tabulate(self.samples.samples)
+        tab.flags.writeable = False
+        return tab
+
     # -- residual passes ---------------------------------------------------
 
     def _residual_block(self, x: np.ndarray, q: int, w: np.ndarray | None = None):
@@ -113,13 +133,15 @@ class BlendedMap:
         Only a non-finite sum reads them one by one (finite ones whose own
         sum overflows pass), and only a non-finite one scans the rows, to
         name the first bad one.  Each call adds q to eval_counter and, with
-        w, q to jac_counter.
+        w, q to jac_counter.  The kernel gets the table's first q columns.
         """
         xis = self.samples.samples[:q]
+        tab = self._table
+        tab = () if tab is None else (tab[:, :q],)
         if w is not None:
-            vals, jac = self.system.jacobian(x, xis, w)
+            vals, jac = self.system.jacobian(x, xis, w, *tab)
         else:
-            vals, jac = self.system.residual(x, xis), None
+            vals, jac = self.system.residual(x, xis, *tab), None
         total = np.add.reduce(vals, 0)
         if not math.isfinite(np.add.reduce(total)) and not np.isfinite(total).all():
             bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
@@ -178,7 +200,8 @@ def check_coercivity(bm: BlendedMap) -> dict:
     and at most _MAX_XI evenly spaced xi's.  The faces are drawn one at a
     time from one seeded stream, so memory does not grow with n^2.  A
     nonpositive minimum is a warning (the condition failed on the tested
-    set), never an error.  The report is JSON-ready.
+    set), never an error.  The report is JSON-ready.  The xi's are
+    tabulated once, not at each of the 2n * _FACE_POINTS points.
     """
     sys_ = bm.system
     n = sys_.n
@@ -186,6 +209,7 @@ def check_coercivity(bm: BlendedMap) -> dict:
 
     step = -(-bm.samples.N // _MAX_XI)
     xis = bm.samples.samples[::step]
+    tab = () if sys_.tabulate is None else (sys_.tabulate(xis),)
     best, arg_x, arg_k = np.inf, None, None
     rng = np.random.default_rng(0)
     for face in range(2 * n):  # face 2j holds x_j = lo_j, face 2j + 1 x_j = hi_j
@@ -193,7 +217,7 @@ def check_coercivity(bm: BlendedMap) -> dict:
         j = face // 2
         points[:, j] = hi[j] if face % 2 else lo[j]
         for x in points:
-            inner = np.asarray(sys_.residual(x, xis)) @ (x - x0)
+            inner = np.asarray(sys_.residual(x, xis, *tab)) @ (x - x0)
             k = int(np.argmin(inner))
             if inner[k] < best:
                 best, arg_x, arg_k = float(inner[k]), x.tolist(), k * step

@@ -197,6 +197,37 @@ def test_kernel_rows_do_not_depend_on_the_batch_size(name, n):
             assert np.array_equal(F, full[:q])
 
 
+@pytest.mark.parametrize("name, n", [("market", 3), ("sin", 3), ("sin", 8),
+                                     ("svi", 1), ("svi", 2)])
+def test_tabulated_kernels_equal_raw_sample_calls_bit_for_bit(name, n):
+    # a blended map tabulates all N samples once and passes each kernel call
+    # the table's first q columns; that must give the raw-sample call's bits.
+    # Seed 32 holds the sample market clips (row 9616), and p <= 0 gives
+    # market non-finite rows
+    system = P.get_instance(name, n).system
+    N = 10 ** 4
+    xis = draw_samples(N, seed=32).samples
+    rng = np.random.default_rng(10)
+    xs = [rng.uniform(system.box_lo, system.box_hi) for _ in range(3)]
+    if name == "market":
+        xs += [np.array([0.4, 0.0, 0.1]), np.array([0.4, 0.3, -0.1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tab = system.tabulate(xis)
+        assert tab.flags.c_contiguous and tab.shape[1] == N
+        for q in (1, 7, 257, N):
+            w = rng.uniform(0.0, 1.0, q)
+            for x in xs:
+                F, J = system.jacobian(x, xis[:q], w, tab[:, :q])
+                F_raw, J_raw = system.jacobian(x, xis[:q], w)
+                assert F.tobytes() == F_raw.tobytes(), (q, x)
+                assert J.tobytes() == J_raw.tobytes(), (q, x)
+                R = system.residual(x, xis[:q], tab[:, :q])
+                assert R.tobytes() == system.residual(x, xis[:q]).tobytes()
+    if name == "market":
+        assert not np.isfinite(F).all()  # the p <= 0 rows are compared too
+
+
 def test_market_equilibrium_arithmetic():
     p = P.MARKET_SOLUTION
     Ap = P.MARKET_A @ p
@@ -432,7 +463,7 @@ def test_oracle_solve_reaches_tolerance_from_traced_answers(seed):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="svi is traced as VI(C, -f): ROADMAP item 1")
+                   reason="svi is traced as VI(C, -f): ROADMAP item 2")
 @pytest.mark.parametrize("n", [1, 2])
 def test_svi_trace_agrees_with_oracle(n):
     # the traced answer, not just the status: 0.05 is well above the sampling

@@ -447,9 +447,9 @@ def test_coercivity_same_point_count_on_every_face():
         seen = []
         residual = bm.system.residual
 
-        def recording(x, xis):
+        def recording(x, xis, *tab):
             seen.append(x.copy())
-            return residual(x, xis)
+            return residual(x, xis, *tab)
 
         bm = dataclasses.replace(
             bm, system=dataclasses.replace(bm.system, residual=recording))
