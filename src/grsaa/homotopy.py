@@ -30,6 +30,7 @@ ends at a small positive level (HomotopyMap.t_end).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,23 +57,30 @@ def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
     if kappa0 < 2:
         raise ValueError("kappa0 must be at least 2")
     y = np.asarray(y, dtype=float)
-    r = np.sqrt(y * y + 4.0 * t)
-    a_big = (r + np.abs(y)) / 2.0  # >= sqrt(t), no cancellation
-    # r and a_big vanish only at y = 0, t = 0, where their numerators do too
-    a_small = t / np.where(a_big > 0, a_big, 1.0)
-    r = np.where(r > 0, r, 1.0)
-    a_pos = np.where(y >= 0, a_big, a_small)
-    a_neg = np.where(y >= 0, a_small, a_big)
-    neg = a_neg ** kappa0
-    pos = a_pos ** kappa0
-    return {
-        "neg": neg,
-        "pos": pos,
-        "dneg_dy": -kappa0 * neg / r,
-        "dpos_dy": kappa0 * pos / r,
-        "dneg_dt": kappa0 * a_neg ** (kappa0 - 1) / r,
-        "dpos_dt": kappa0 * a_pos ** (kappa0 - 1) / r,
-    }
+    r = y * y
+    r += 4.0 * t
+    np.sqrt(r, out=r)
+    # (a_big; a_small) as the rows of one array, so that each formula below
+    # is one call for both members of the pair
+    a = np.empty((2,) + y.shape)
+    big = np.add(r, np.abs(y), out=a[0])
+    big /= 2.0  # >= sqrt(t), no cancellation
+    if t > 0:
+        np.divide(t, big, out=a[1])
+    else:
+        # r and a_big vanish only at y = 0, t = 0, where their numerators
+        # do too
+        np.divide(t, np.where(big > 0, big, 1.0), out=a[1])
+        r = np.where(r > 0, r, 1.0)
+    a = np.where(y >= 0, a[::-1], a)  # (a_neg; a_pos)
+    val = a ** kappa0
+    dy = val * kappa0
+    np.negative(dy[0], out=dy[0])
+    dy /= r
+    dt = a ** (kappa0 - 1) * kappa0
+    dt /= r
+    return {"neg": val[0], "pos": val[1], "dneg_dy": dy[0], "dpos_dy": dy[1],
+            "dneg_dt": dt[0], "dpos_dt": dt[1]}
 
 
 def solve_start_y(B: np.ndarray, b: np.ndarray, x0: np.ndarray,
@@ -145,6 +153,17 @@ class HomotopyMap:
         """The unique solution at t = 1: x0, with the y that solves block 2."""
         return np.concatenate([self.x0, solve_start_y(self.B, self.b, self.x0, KAPPA0)])
 
+    @cached_property
+    def _J_constrained(self) -> np.ndarray:
+        """The parts of a constrained J that do not depend on (u, t): block
+        2's B columns, with zeros off the diagonal of its y block; made on
+        the first evaluation rather than at set-up.  Every other entry is
+        assigned on each evaluation."""
+        M, n = self.B.shape
+        J = np.zeros((n + M, n + M + 1))
+        J[n:, :n] = self.B
+        return J
+
     def evaluate(self, u: np.ndarray, t: float):
         """(h(u, t), J) from one pass of the blended map.
 
@@ -156,24 +175,31 @@ class HomotopyMap:
         D = n + M
         x, y = u[:n], u[n:]
         d, dd_dt, dd_dx = self.blended.evaluate(x, t)
-        # the operator F and its partials; the constraint terms only for M > 0
-        F, dF_dt, dF_dx = d, dd_dt, dd_dx
+        s = 1.0 - t
+        # the operator F and its partials: d itself for M = 0; with
+        # constraints F = B^T neg - d, dF/dt = B^T dneg_dt - dd_dt and
+        # dF/dx = -dd/dx, whose product with s is dd/dx times -s
+        F, dF_dt, s_x = d, dd_dt, s
         if M:
             tr = transform_derivs(y, t, KAPPA0)
-            F = -d + self.B.T @ tr["neg"]
-            dF_dt = -dd_dt + self.B.T @ tr["dneg_dt"]
-            dF_dx = -dd_dx
-        s = 1.0 - t
+            Bt = self.B.T
+            F = Bt @ tr["neg"]
+            F -= d
+            dF_dt = Bt @ tr["dneg_dt"]
+            dF_dt -= dd_dt
+            s_x = -s
+            J = self._J_constrained.copy()
+        else:
+            J = np.empty((D, D + 1))  # every block is assigned below
         dx = x - self.x0
         h = np.empty(D)
-        J = np.empty((D, D + 1))  # every block is assigned below
         # block 1: s F + t dx - t s alpha
         h1 = np.multiply(F, s, out=h[:n])
         h1 += t * dx
         h1 -= t * s * self.alpha
         # s dF_dx + t I; adding +0.0 everywhere, as t * 0.0 does off the
         # diagonal, turns a -0.0 product into +0.0
-        Jx = np.multiply(dF_dx, s, out=J[:n, :n])
+        Jx = np.multiply(dd_dx, s_x, out=J[:n, :n])
         Jx += 0.0
         J.reshape(-1)[:n * (D + 2):D + 2] += t
         # -F + s dF_dt + dx - (1 - 2t) alpha
@@ -182,10 +208,12 @@ class HomotopyMap:
         Jt += dx
         Jt -= (1.0 - 2.0 * t) * self.alpha
         if M:
-            J[:n, n:D] = s * (self.B.T * tr["dneg_dy"])
-            # block 2 rows
-            h[n:] = self.B @ x + tr["pos"] - self.b
-            J[n:, :n] = self.B
-            J[n:, n:D] = np.diag(tr["dpos_dy"])
+            Jy = np.multiply(Bt, tr["dneg_dy"], out=J[:n, n:D])
+            Jy *= s
+            # block 2 rows: B x + pos - b; J holds B and the zeros already
+            h2 = np.matmul(self.B, x, out=h[n:])
+            h2 += tr["pos"]
+            h2 -= self.b
+            J.reshape(-1)[n * (D + 2)::D + 2] = tr["dpos_dy"]
             J[n:, D] = tr["dpos_dt"]
         return h, J

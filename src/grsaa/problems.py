@@ -11,9 +11,12 @@ transpose, so a row's bits do not depend on how many rows a call has.
 Each problem also tabulates the terms that depend on xi alone, which a
 blended map computes once over all N samples and passes, column-sliced, to
 every kernel call: e = 1/(xi - 1) for market, (cos xi; sin xi) for sin and
-svi.  Market shares one softmax column per sample across its goods; sin and
-svi expand sin(i sum(x) + xi) by angle addition, 2n trig calls a pass plus
-2N once per map.
+svi.  Market takes its shares from one exp per sample and good, shifted once
+per price point, which the negative exponents e of the clipped sample law
+allow; their denominators r are summed element by element, not by a matrix
+product, and the Jacobian sum is S (diag(b/p) - G) + a 1^T, three small
+products over the shares.  sin and svi expand sin(i sum(x) + xi) by angle
+addition, 2n trig calls a pass plus 2N once per map.
 """
 
 from __future__ import annotations
@@ -93,50 +96,61 @@ def _market_table(xis: np.ndarray) -> np.ndarray:
 
 
 def _market_parts(p: np.ndarray, xis: np.ndarray, tab: np.ndarray | None):
-    """Shared pieces of the CES demand, computed in log space.
+    """(p, e, S, F): the excess demand rows as a fresh (3, q) array F, from
+    one shift per price point.
 
-    p_i^(1/(xi-1)) overflows for xi near 1, so with l = log p good i's
-    denominator is a_i^e exp(logsumexp_j v_j), v_j = (1+e) l_j - e log a_j:
-    one softmax column s per sample serves all goods, and the share p_i^e /
-    denominator_i is s_i / p_i, bounded for all xi in [-1, 1).  e is read
-    from tab, or tabulated from xis when tab is None.  Built as (3, q)
-    arrays and returned as their (q, 3) transposes; softmax may be
-    overwritten."""
+    With c = log p - log a, good i's share p_i^e / g_i is exp(e c_i) /
+    sum_j p_j exp(e c_j), and F = S share with S = sum(p).  Every exponent
+    e = 1/(xi - 1) is negative under the clipped sample law (xi <= 1 - 1e-6),
+    so shifting c by c* = min_j c_j bounds E_jk = exp(e_k (c_j - c*)) to
+    (0, 1], with E = 1 at the argmin: nothing overflows for any xi in
+    [-1, 1), and r_k = sum_j p_j E_jk >= min(p) > 0, so share = E / r and
+    F = E (S / r).  r is built element by element, p_0 E_0 + p_1 E_1 +
+    p_2 E_2, so a row's bits do not depend on q (p @ E would let BLAS pick
+    its kernel by the batch's shape).  e is read from tab, or tabulated from
+    xis when tab is None."""
     p = np.asarray(p, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        l = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
+        c = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
+        c -= _LOG_A
+        c -= np.minimum.reduce(c)
     e = (_market_table(xis) if tab is None else tab)[0]  # (q,)
-    v = np.multiply.outer(l, 1.0 + e)
-    v -= np.multiply.outer(_LOG_A, e)  # (3, q)
-    v -= v.max(axis=0)
-    softmax = np.exp(v, out=v)
-    softmax /= softmax.sum(axis=0)
-    return p, e, (softmax / p[:, None]).T, softmax.T
+    E = np.multiply.outer(c, e)
+    np.exp(E, out=E)
+    r = E[0] * p[0]
+    for j in range(1, p.size):
+        r += E[j] * p[j]
+    S = np.add.reduce(p)
+    E *= np.divide(S, r, out=r)
+    return p, e, S, E
 
 
 def market_residual(p: np.ndarray, xis: np.ndarray,
                     tab: np.ndarray | None = None) -> np.ndarray:
     """Excess demand f(p, xi) = (p.w) * (p_1/g_1, p_2/g_2, p_3/g_3), w = 1."""
-    p, _, share, _ = _market_parts(p, xis, tab)
-    return p.sum() * share
+    return _market_parts(p, xis, tab)[3].T
 
 
 def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray,
                     tab: np.ndarray | None = None):
     """(F, sum_k w_k J_k): market_residual's rows and the w-weighted sum of
     their p-Jacobians from one pass."""
-    p, e, share, softmax = _market_parts(p, xis, tab)
-    S = p.sum()
-    # J_k = share_k 1^T + S * dshare_k with dshare_k,ij = share_ki *
-    # (e_k d_ij - (1+e_k) softmax_kj) / p_j, so the weighted sum is
-    # a 1^T + (S/p_j)(d_ij b_i - C_ij) with a = w^T share, b = (w e)^T share
-    # and C = share^T (w (1+e) softmax), one (3, q) x (q, 3) product
-    softmax *= (w * (1.0 + e))[:, None]
-    J = np.diag((w * e) @ share)
-    J -= share.T @ softmax
-    J *= S / p
-    J += (w @ share)[:, None]
-    return S * share, J
+    p, e, S, F = _market_parts(p, xis, tab)
+    # d share_ki / dp_j = share_ki (e_k d_ij / p_j - (1 + e_k) share_kj), so
+    # sum_k w_k J_k = S (diag(b/p) - G) + a 1^T with a = share w,
+    # b = share (w e) and G = share diag(w (1 + e)) share^T.  With F = S share
+    # in place of share that is diag(F (w e) / p) - F diag(w (1 + e)) F^T / S
+    # + (F w / S) 1^T: two matrix-vector products and one (3, q) x (q, 3)
+    # product, which feed J only
+    we = w * e
+    Fw, Fwe = F @ w, F @ we
+    we += w
+    J = (F * we) @ F.T
+    J *= -1.0 / S
+    J.reshape(-1)[::p.size + 1] += Fwe / p
+    Fw /= S
+    J += Fw[:, None]
+    return F.T, J
 
 
 def market_instance() -> ProblemInstance:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from grsaa import problems as P
 from grsaa.cli import RunConfig, build_run
@@ -24,9 +25,12 @@ DEAD_HOOKS = {"grsaa.tracer.damped_newton", "grsaa.homotopy.transform"}
 DEAD_LAYERS = {"newton"}
 
 
-def test_bench_runs_against_the_package():
+# sin-small reaches the unconstrained map, market the constrained assembly
+# and its transform layer, both with their answer checks
+@pytest.mark.parametrize("workload", ["sin-small", "market"])
+def test_bench_runs_against_the_package(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "sin-small", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0.5", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
+from grsaa.cli import RunConfig, build_run
 from grsaa.homotopy import KAPPA0, HomotopyMap, solve_start_y, transform_derivs
 from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
@@ -171,6 +172,39 @@ def test_transform_derivs_match_finite_differences():
                                rtol=1e-4, atol=1e-6)
 
 
+def textbook_transform(y, t, kappa0):
+    """transform_derivs written as the formulas read, one array per member
+    of the pair: the reference its stacked form must equal bit for bit."""
+    r = np.sqrt(y * y + 4.0 * t)
+    a_big = (r + np.abs(y)) / 2.0
+    a_small = t / np.where(a_big > 0, a_big, 1.0)
+    r = np.where(r > 0, r, 1.0)
+    a_pos = np.where(y >= 0, a_big, a_small)
+    a_neg = np.where(y >= 0, a_small, a_big)
+    neg, pos = a_neg ** kappa0, a_pos ** kappa0
+    return {"neg": neg, "pos": pos,
+            "dneg_dy": -kappa0 * neg / r, "dpos_dy": kappa0 * pos / r,
+            "dneg_dt": kappa0 * a_neg ** (kappa0 - 1) / r,
+            "dpos_dt": kappa0 * a_pos ** (kappa0 - 1) / r}
+
+
+def test_transform_equals_the_textbook_formula_bit_for_bit():
+    # signed zeros, y = 0 at t = 0 (the guarded 0/0), and |y| from 1e-10
+    # to 1e10
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        y = rng.uniform(-5.0, 5.0, 6) * 10.0 ** rng.integers(-10, 11, 6)
+        y[rng.random(6) < 0.2] = 0.0
+        y[rng.random(6) < 0.1] = -0.0
+        for t in (0.0, 1e-300, 1e-8, rng.uniform(), 1.0):
+            for kappa0 in (2, 3, 4):
+                tr = transform_derivs(y, t, kappa0)
+                ref = textbook_transform(y, t, kappa0)
+                assert tr.keys() == ref.keys()
+                for key in ref:
+                    assert tr[key].tobytes() == ref[key].tobytes(), (key, y, t)
+
+
 @given(y=st.floats(-50.0, 50.0), t=st.floats(1e-10, 1.0),
        kappa0=st.integers(2, 4))
 def test_transform_identity_property(y, t, kappa0):
@@ -283,6 +317,22 @@ def test_jac_kkt_structure_and_finite_differences():
             fd_t = (value(hm, u, t + h) - value(hm, u, t - h)) / (2 * h)
             assert np.allclose(J[:, dim], fd_t, rtol=1e-5, atol=1e-5)
             checked += 1
+
+
+def test_constrained_assembly_caches_nothing_at_set_up():
+    # bench/run.py times build_run as set-up: what the constrained assembly
+    # keeps across evaluations is made on the first one, as the blend's
+    # sample table is
+    _, hm = build_run(RunConfig(problem="market", n=3, N=100, L=4))
+    assert "_J_constrained" not in vars(hm)
+    u = hm.start_point()
+    h, J = hm.evaluate(u, 0.5)
+    assert "_J_constrained" in vars(hm)
+    # each evaluation returns its own J; the cached blocks are not written
+    J[:] = np.nan
+    h2, J2 = hm.evaluate(u, 0.5)
+    assert np.isfinite(J2).all() and np.array_equal(h2, h)
+    assert np.array_equal(J2[hm.n:, :hm.n], hm.B)
 
 
 # -- in-place assembly equals the textbook formula -------------------------

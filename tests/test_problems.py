@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
@@ -20,7 +21,7 @@ def market_residual_direct(p, xi):
     """CES excess demand from the untransformed power formula.
 
     Safe only for moderate substitution values; used as an independent
-    oracle for the log-space production code.
+    oracle for the shifted production kernel.
     """
     W = np.array([[1.0, 2.0 / 3.0, 2.0],
                   [1.5, 1.0, 3.0],
@@ -85,7 +86,7 @@ def test_market_kernels_finite_at_extremes():
 
 
 def test_market_residual_is_stable_near_xi_one():
-    # the direct power formula overflows as xi -> 1; the log-space path
+    # the direct power formula overflows as xi -> 1; the shifted kernel
     # must stay finite there (after the documented clip)
     p = np.array([0.4, 0.45, 0.15])
     out = P.market_residual(p, np.array([[1.0 - 1e-9]]))
@@ -121,6 +122,88 @@ def test_market_jacobian_matches_finite_differences():
     ws = rng.uniform(0.0, 1.0, (100, 5))
     check_weighted_jacobian(P.market_jacobian, P.market_residual, ps, xis, ws,
                             rtol=1e-5, atol=1e-7)
+
+
+def market_jacobian_softmax(p, e, w):
+    """The market kernel as it was first written, in log space: one
+    max-shifted softmax column s_k over the goods per sample, shares s_k/p
+    and J = (S/p_j)(d_ij b_i - C_ij) + a_i with C = share^T (w (1+e) s).
+    The reference the per-point shifted kernel is compared with."""
+    l = np.log(p)
+    v = np.multiply.outer(l, 1.0 + e) - np.multiply.outer(P._LOG_A, e)
+    v -= v.max(axis=0)
+    softmax = np.exp(v)
+    softmax /= softmax.sum(axis=0)
+    share, softmax = (softmax / p[:, None]).T, softmax.T
+    S = p.sum()
+    J = np.diag((w * e) @ share) - share.T @ (softmax * (w * (1.0 + e))[:, None])
+    J *= S / p
+    J += (w @ share)[:, None]
+    return S * share, J
+
+
+# Both kernels round the exponent e c, |c| <= |log 1e-3| + |log 0.5| < 7.7
+# in the price box, to a few ulps of |e| |c|, and exp turns that absolute
+# error into a relative one: F and J move by O(eps (1 + |e|)), and |e|
+# reaches 1e6 at the clip.  Measured over these cases: F within 10.4 and J
+# within 3.2 of eps (1 + |e|) (J against its largest entry and the batch's
+# largest |e|); the bound allows 32.  Where exp underflows through the
+# subnormals neither kernel keeps relative accuracy, and F is below 1e-300.
+SHIFT_RTOL = 32 * np.finfo(float).eps
+UNDERFLOW_ATOL = 1e-300
+
+
+@pytest.mark.parametrize("seed", [0, 32])
+def test_market_kernel_equals_the_softmax_reference(seed):
+    N = 10 ** 4
+    xis = draw_samples(N, seed=seed).samples.copy()
+    if seed == 32:
+        assert xis[9616, 0] > 1.0 - 1e-6  # clipped by the kernel
+    # the ends of the xi range: the lower one and the clipped upper one
+    xis[0], xis[3], xis[5] = -1.0, 1.0 - 1e-6, 1.0 - 1e-9
+    rng = np.random.default_rng(12)
+    corners = [np.where(np.array(c) == 1, 1.0, 1e-3) for c in np.ndindex(2, 2, 2)]
+    # prices near p ~ a, where the goods' shifted exponents e (c_j - c*)
+    # stay moderate at large |e|
+    a = np.exp(P._LOG_A) / 1.5
+    near_ties = [a * rng.uniform(0.01, 1.0)
+                 * (1.0 + rng.uniform(-1.0, 1.0, 3) * 10.0 ** -rng.integers(1, 9))
+                 for _ in range(20)]
+    ps = [rng.uniform(1e-3, 1.0, 3) for _ in range(20)] + corners + near_ties
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "clipped CES", RuntimeWarning)
+        tab = P._market_table(xis)
+    for q in (1, 7, 257, N):
+        e = tab[0, :q]
+        for p in ps:
+            w = rng.uniform(0.0, 1.0, q)
+            F, J = P.market_jacobian(p, xis[:q], w, tab[:, :q])
+            F_ref, J_ref = market_jacobian_softmax(p, e, w)
+            bound = SHIFT_RTOL * (1.0 + np.abs(e))[:, None] * F_ref + UNDERFLOW_ATOL
+            assert np.all(np.abs(F - F_ref) <= bound), (q, p)
+            scale = np.abs(J_ref).max() * (1.0 + np.abs(e).max())
+            assert np.abs(J - J_ref).max() <= SHIFT_RTOL * scale, (q, p)
+
+
+@given(p=st.tuples(*[st.floats(1e-3, 1.0)] * 3),
+       xis=st.lists(st.one_of(st.floats(-1.0, 1.0, exclude_max=True),
+                              st.floats(1.0 - 1e-6, 1.0, exclude_max=True)),
+                    min_size=1, max_size=20))
+def test_market_walras_law_property(p, xis):
+    # p . f(p, xi) = sum(p) for every sample, up to rounding, with no
+    # overflow, division by zero or invalid operation anywhere in the box
+    # and on all of [-1, 1), the clipped end included (underflow to 0 is
+    # allowed)
+    p = np.array(p)
+    xis = np.array(xis)[:, None]
+    w = np.linspace(0.0, 1.0, xis.shape[0])
+    with warnings.catch_warnings(), \
+            np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.filterwarnings("ignore", "clipped CES", RuntimeWarning)
+        F = P.market_residual(p, xis)
+        F_jac, J = P.market_jacobian(p, xis, w)
+    assert np.array_equal(F, F_jac) and np.all(np.isfinite(J))
+    assert np.allclose(F @ p, p.sum(), rtol=1e-14, atol=0.0)
 
 
 def test_ces_clip_is_reported_once_per_solve():
