@@ -15,10 +15,10 @@ ends.
 
 The smoothed complementarity pair
 
-    neg(y, t) = ((sqrt(y^2 + 4t) - y) / 2)^kappa0
-    pos(y, t) = ((sqrt(y^2 + 4t) + y) / 2)^kappa0
+    neg(y, t) = ((sqrt(y^2 + 4t) - y) / 2)^KAPPA0
+    pos(y, t) = ((sqrt(y^2 + 4t) + y) / 2)^KAPPA0
 
-satisfies neg * pos = t^kappa0 componentwise, so a zero of the augmented
+satisfies neg * pos = t^KAPPA0 componentwise, so a zero of the augmented
 system carries the smoothed complementarity condition for t > 0 and exact
 complementarity in the limit t = 0.  One kernel serves both constrained
 benchmarks; problems that state their multipliers with the opposite sign use
@@ -38,12 +38,12 @@ from .saa import BlendedMap
 
 __all__ = ["HomotopyMap", "transform_derivs", "solve_start_y"]
 
-# the map's transform exponent kappa0; 2 is the least that keeps the
-# transform C^1 at its kink
+# the map's transform exponent; 2 is the least that keeps the transform C^1
+# at its kink
 KAPPA0 = 2
 
 
-def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
+def transform_derivs(y: np.ndarray, t: float) -> dict:
     """Values and all first partials of the (neg, pos) pair, for every t >= 0.
 
     Returns keys neg, pos, dneg_dy, dpos_dy, dneg_dt, dpos_dt (each (M,),
@@ -54,8 +54,6 @@ def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
     """
     if t < 0:
         raise ValueError("transform requires t >= 0")
-    if kappa0 < 2:
-        raise ValueError("kappa0 must be at least 2")
     y = np.asarray(y, dtype=float)
     r = y * y
     r += 4.0 * t
@@ -73,27 +71,26 @@ def transform_derivs(y: np.ndarray, t: float, kappa0: int) -> dict:
         np.divide(t, np.where(big > 0, big, 1.0), out=a[1])
         r = np.where(r > 0, r, 1.0)
     a = np.where(y >= 0, a[::-1], a)  # (a_neg; a_pos)
-    val = a ** kappa0
-    dy = val * kappa0
+    val = a ** KAPPA0
+    dy = val * KAPPA0
     np.negative(dy[0], out=dy[0])
     dy /= r
-    dt = a ** (kappa0 - 1) * kappa0
+    dt = a ** (KAPPA0 - 1) * KAPPA0
     dt /= r
     return {"neg": val[0], "pos": val[1], "dneg_dy": dy[0], "dpos_dy": dy[1],
             "dneg_dt": dt[0], "dpos_dt": dt[1]}
 
 
-def solve_start_y(B: np.ndarray, b: np.ndarray, x0: np.ndarray,
-                  kappa0: int) -> np.ndarray:
+def solve_start_y(B: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """The unique y with B x0 + pos(y, 1) = b (componentwise closed form).
 
-    pos(y, 1) = c inverts to y = c^(1/kappa0) - 1 / c^(1/kappa0); requires
+    pos(y, 1) = c inverts to y = c^(1/KAPPA0) - 1 / c^(1/KAPPA0); requires
     c = b - B x0 > 0, i.e. a strictly interior start.
     """
     c = np.asarray(b, dtype=float) - np.asarray(B, dtype=float) @ np.asarray(x0, dtype=float)
     if np.any(c <= 0):
         raise ValueError("start point is not strictly interior: b - B x0 must be > 0")
-    u = c ** (1.0 / kappa0)
+    u = c ** (1.0 / KAPPA0)
     return u - 1.0 / u
 
 
@@ -151,7 +148,7 @@ class HomotopyMap:
 
     def start_point(self) -> np.ndarray:
         """The unique solution at t = 1: x0, with the y that solves block 2."""
-        return np.concatenate([self.x0, solve_start_y(self.B, self.b, self.x0, KAPPA0)])
+        return np.concatenate([self.x0, solve_start_y(self.B, self.b, self.x0)])
 
     @cached_property
     def _J_constrained(self) -> np.ndarray:
@@ -181,7 +178,7 @@ class HomotopyMap:
         # dF/dx = -dd/dx, whose product with s is dd/dx times -s
         F, dF_dt, s_x = d, dd_dt, s
         if M:
-            tr = transform_derivs(y, t, KAPPA0)
+            tr = transform_derivs(y, t)
             Bt = self.B.T
             F = Bt @ tr["neg"]
             F -= d

@@ -1,22 +1,36 @@
 """Benchmark problems: a CES market equilibrium, the sin system, and a
 box-constrained stochastic variational inequality.
 
-Each problem supplies a batched residual f(x, xi), a fused kernel that
-returns the same rows with the w-weighted sum of their analytic x-Jacobians
-from one pass (no per-sample Jacobian is stored), a domain box with an
-interior reference point, and (where one exists) an independent ground-truth
-oracle built on the analytic expectation of the residual.  Kernels build
-(n, q) arrays element by element and return F as their column-major (q, n)
-transpose, so a row's bits do not depend on how many rows a call has.
-Each problem also tabulates the terms that depend on xi alone, which a
-blended map computes once over all N samples and passes, column-sliced, to
-every kernel call: e = 1/(xi - 1) for market, (cos xi; sin xi) for sin and
-svi.  Market takes its shares from one exp per sample and good, shifted once
-per price point, which the negative exponents e of the clipped sample law
-allow; their denominators r are summed element by element, not by a matrix
-product, and the Jacobian sum is S (diag(b/p) - G) + a 1^T, three small
-products over the shares.  sin and svi expand sin(i sum(x) + xi) by angle
-addition, 2n trig calls a pass plus 2N once per map.
+Each problem supplies one batched per-sample kernel, kernel(x, xis, w=None,
+tab=None), a domain box with an interior reference point, and (where one
+exists) an independent ground-truth oracle built on the analytic
+expectation of the residual.  With w None the kernel returns F, the rows
+f(x, xi_k); with weights w it returns (F, sum_k w_k J_k), the w-weighted sum
+of the analytic x-Jacobians from the same pass, storing no per-sample
+Jacobian.  The kernel facts, stated here once:
+
+- Element by element.  Kernels build (n, q) arrays and return F as their
+  column-major (q, n) transpose.  No row is built by a matrix product, whose
+  BLAS kernel depends on the batch's shape, so a row's bits do not depend on
+  how many rows a call has; sums over goods and the two angle-addition terms
+  are added element by element.
+- Tables.  Each problem tabulates the terms that depend on xi alone, which a
+  blended map computes once over all N samples and passes, column-sliced, to
+  every kernel call: e = 1/(xi - 1) for market, (cos xi; sin xi) for sin and
+  svi.  A kernel called without tab tabulates its own samples, to the same
+  bits.
+- Per-point shift (market).  With c = log p - log a, good i's share p_i^e /
+  g_i is exp(e c_i) / sum_j p_j exp(e c_j), and F = S share with S = sum(p).
+  Every e = 1/(xi - 1) is negative under the clipped sample law
+  (xi <= 1 - 1e-6), so shifting c once per price point by c* = min_j c_j
+  bounds E_jk = exp(e_k (c_j - c*)) to (0, 1], with E = 1 at the argmin:
+  nothing overflows for any xi in [-1, 1), r_k = sum_j p_j E_jk >= min(p) > 0
+  and F = E (S / r).
+- Angle addition (sin, svi).  With a_i = i sum(x),
+  sin(a_i + xi_k) = sin a_i cos xi_k + cos a_i sin xi_k and
+  cos(a_i + xi_k) = cos a_i cos xi_k - sin a_i sin xi_k: 2n trig calls a
+  pass instead of 2qn, plus the 2N on |xi| <= 1 that a blended map
+  tabulates once.
 """
 
 from __future__ import annotations
@@ -37,10 +51,9 @@ from .schedule import NodeSchedule
 
 __all__ = [
     "ProblemInstance",
-    "market_residual", "market_jacobian", "market_instance", "market_verify",
-    "sin_residual", "sin_jacobian", "sin_instance",
-    "sin_expectation", "sin_expectation_jac",
-    "svi_residual", "svi_jacobian", "svi_instance",
+    "market_kernel", "market_instance", "market_verify",
+    "sin_kernel", "sin_instance", "sin_expectation", "sin_expectation_jac",
+    "svi_kernel", "svi_instance",
     "svi_expectation", "svi_expectation_jac",
     "oracle_solve", "build_homotopy", "get_instance",
 ]
@@ -95,47 +108,26 @@ def _market_table(xis: np.ndarray) -> np.ndarray:
     return (1.0 / (xi - 1.0))[None, :]
 
 
-def _market_parts(p: np.ndarray, xis: np.ndarray, tab: np.ndarray | None):
-    """(p, e, S, F): the excess demand rows as a fresh (3, q) array F, from
-    one shift per price point.
-
-    With c = log p - log a, good i's share p_i^e / g_i is exp(e c_i) /
-    sum_j p_j exp(e c_j), and F = S share with S = sum(p).  Every exponent
-    e = 1/(xi - 1) is negative under the clipped sample law (xi <= 1 - 1e-6),
-    so shifting c by c* = min_j c_j bounds E_jk = exp(e_k (c_j - c*)) to
-    (0, 1], with E = 1 at the argmin: nothing overflows for any xi in
-    [-1, 1), and r_k = sum_j p_j E_jk >= min(p) > 0, so share = E / r and
-    F = E (S / r).  r is built element by element, p_0 E_0 + p_1 E_1 +
-    p_2 E_2, so a row's bits do not depend on q (p @ E would let BLAS pick
-    its kernel by the batch's shape).  e is read from tab, or tabulated from
-    xis when tab is None."""
+def market_kernel(p: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
+                  tab: np.ndarray | None = None):
+    """Excess demand f(p, xi) = sum(p) * (p_i^e / g_i)_i, unit endowments,
+    from one shift per price point; with weights w, (F, sum_k w_k J_k)."""
     p = np.asarray(p, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
         c -= _LOG_A
         c -= np.minimum.reduce(c)
     e = (_market_table(xis) if tab is None else tab)[0]  # (q,)
-    E = np.multiply.outer(c, e)
-    np.exp(E, out=E)
-    r = E[0] * p[0]
+    F = np.multiply.outer(c, e)
+    np.exp(F, out=F)
+    r = F[0] * p[0]
     for j in range(1, p.size):
-        r += E[j] * p[j]
+        r += F[j] * p[j]
     S = np.add.reduce(p)
-    E *= np.divide(S, r, out=r)
-    return p, e, S, E
-
-
-def market_residual(p: np.ndarray, xis: np.ndarray,
-                    tab: np.ndarray | None = None) -> np.ndarray:
-    """Excess demand f(p, xi) = (p.w) * (p_1/g_1, p_2/g_2, p_3/g_3), w = 1."""
-    return _market_parts(p, xis, tab)[3].T
-
-
-def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray,
-                    tab: np.ndarray | None = None):
-    """(F, sum_k w_k J_k): market_residual's rows and the w-weighted sum of
-    their p-Jacobians from one pass."""
-    p, e, S, F = _market_parts(p, xis, tab)
+    F *= np.divide(S, r, out=r)
+    del r  # not held through J's (3, q) temporaries
+    if w is None:
+        return F.T
     # d share_ki / dp_j = share_ki (e_k d_ij / p_j - (1 + e_k) share_kj), so
     # sum_k w_k J_k = S (diag(b/p) - G) + a 1^T with a = share w,
     # b = share (w e) and G = share diag(w (1 + e)) share^T.  With F = S share
@@ -155,7 +147,7 @@ def market_jacobian(p: np.ndarray, xis: np.ndarray, w: np.ndarray,
 
 def market_instance() -> ProblemInstance:
     system = StochasticSystem(
-        n=3, residual=market_residual, jacobian=market_jacobian,
+        n=3, jacobian=market_kernel,
         tabulate=_market_table, box_lo=np.full(3, 1e-3), box_hi=np.ones(3),
         # strictly interior in {p > 0, Ap < 0, e.p < 1}; the equal-price point
         # violates the first zero-profit row and is not admissible
@@ -210,11 +202,7 @@ def _trig_table(xis: np.ndarray) -> np.ndarray:
 
 def _angles(x: np.ndarray, xis: np.ndarray, tab: np.ndarray | None):
     """(x, i, S, T) with a_i = i * sum(x), S = (sin a; cos a), (2, n), and
-    T = (cos xi; sin xi), (2, q), read from tab or, when tab is None,
-    tabulated from xis.  By angle addition sin(a_i + xi_k) = sin a_i cos xi_k
-    + cos a_i sin xi_k and cos(a_i + xi_k) = cos a_i cos xi_k - sin a_i
-    sin xi_k: 2n trig calls a pass instead of 2qn, plus the 2N on |xi| <= 1
-    that a blended map tabulates once."""
+    T = (cos xi; sin xi), (2, q), read from tab or tabulated from xis."""
     x = np.asarray(x, dtype=float)
     i = np.arange(1.0, x.size + 1)
     a = i * np.add.reduce(x)
@@ -223,33 +211,25 @@ def _angles(x: np.ndarray, xis: np.ndarray, tab: np.ndarray | None):
 
 
 def _combine(P: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """P_0i T_0k + P_1i T_1k, (n, q), for P (2, n), element by element, so a
-    row's bits do not depend on q (a matrix product would let BLAS pick its
-    kernel by the batch's shape).  Both products share one (2, n, q) buffer:
-    a second (n, q) temporary made the sin-dims kernel about 40% slower."""
+    """P_0i T_0k + P_1i T_1k, (n, q), for P (2, n): both products share one
+    (2, n, q) buffer, since a second (n, q) temporary made the sin-dims
+    kernel about 40% slower."""
     B = P[:, :, None] * T[:, None, :]
     B[0] += B[1]
     return B[0]
 
 
-def sin_residual(x: np.ndarray, xis: np.ndarray,
-                 tab: np.ndarray | None = None) -> np.ndarray:
-    """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi)."""
-    x, _, S, T = _angles(x, xis, tab)
-    F = _combine(-5.0 * S, T)
-    F += x[:, None]
-    return F.T
-
-
-def sin_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray,
-                 tab: np.ndarray | None = None):
-    """(F, sum_k w_k J_k): sin_residual's rows and the w-weighted sum of
-    their x-Jacobians I + c_k 1^T, c_ki = -5 i cos(a_i + xi_k), whose sum
-    needs only T @ w = (w.cos xi, w.sin xi)."""
+def sin_kernel(x: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
+               tab: np.ndarray | None = None):
+    """f_i(x, xi) = x_i - 5 sin(i * sum(x) + xi); with weights w, also the sum
+    of the x-Jacobians I + c_k 1^T, c_ki = -5 i cos(a_i + xi_k), which needs
+    only T @ w = (w.cos xi, w.sin xi)."""
     x, i, S, T = _angles(x, xis, tab)
     S *= -5.0
     F = _combine(S, T)
     F += x[:, None]
+    if w is None:
+        return F.T
     u = T @ w
     return F.T, _eye_plus_rank1(i * (S[1] * u[0] - S[0] * u[1]),
                                 np.add.reduce(w))
@@ -271,9 +251,8 @@ def sin_expectation_jac(x: np.ndarray) -> np.ndarray:
 
 def sin_instance(n: int) -> ProblemInstance:
     system = StochasticSystem(
-        n=n, residual=sin_residual, jacobian=sin_jacobian,
-        tabulate=_trig_table, box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
-        x0=np.zeros(n))
+        n=n, jacobian=sin_kernel, tabulate=_trig_table,
+        box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0), x0=np.zeros(n))
     return ProblemInstance(name="sin", system=system)
 
 
@@ -281,24 +260,19 @@ def sin_instance(n: int) -> ProblemInstance:
 # stochastic variational inequality over the box [-10, 10]^n
 # ---------------------------------------------------------------------------
 
-def svi_residual(x: np.ndarray, xis: np.ndarray,
-                 tab: np.ndarray | None = None) -> np.ndarray:
-    """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi))."""
-    x, _, S, T = _angles(x, xis, tab)
-    E = np.exp(_combine(np.array((S[1], -S[0])), T))
-    return np.subtract(x[:, None], E, out=E).T
-
-
-def svi_jacobian(x: np.ndarray, xis: np.ndarray, w: np.ndarray,
-                 tab: np.ndarray | None = None):
-    """(F, sum_k w_k J_k): svi_residual's rows and the w-weighted sum of
-    their x-Jacobians I + c_k 1^T, c_ki = i exp(cos(a_i + xi_k)) sin(a_i + xi_k)."""
+def svi_kernel(x: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
+               tab: np.ndarray | None = None):
+    """f_i(x, xi) = x_i - exp(cos(i * sum(x) + xi)); with weights w, also the
+    sum of the x-Jacobians I + c_k 1^T, c_ki = i exp(cos(a_i + xi_k))
+    sin(a_i + xi_k)."""
     x, i, S, T = _angles(x, xis, tab)
     E = np.exp(_combine(np.array((S[1], -S[0])), T))
-    coef = _combine(S, T)
-    coef *= E
-    return (np.subtract(x[:, None], E, out=E).T,
-            _eye_plus_rank1(i * (coef @ w), np.add.reduce(w)))
+    if w is not None:
+        coef = _combine(S, T)
+        coef *= E
+        J = _eye_plus_rank1(i * (coef @ w), np.add.reduce(w))
+    F = np.subtract(x[:, None], E, out=E).T
+    return F if w is None else (F, J)
 
 
 def _exp_cos_mean(a: float) -> float:
@@ -335,9 +309,8 @@ def svi_instance(n: int) -> ProblemInstance:
     stated system are neg(y) and the slacks are pos(y).
     """
     system = StochasticSystem(
-        n=n, residual=svi_residual, jacobian=svi_jacobian,
-        tabulate=_trig_table, box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0),
-        x0=np.zeros(n))
+        n=n, jacobian=svi_kernel, tabulate=_trig_table,
+        box_lo=np.full(n, -10.0), box_hi=np.full(n, 10.0), x0=np.zeros(n))
     B = np.vstack([np.eye(n), -np.eye(n)])
     b = np.full(2 * n, 10.0)
     return ProblemInstance(name="svi", system=system, B=B, b=b)

@@ -12,8 +12,8 @@ evaluation at (x, t) therefore costs exactly q_l single-sample residual
 evaluations, which is the machine-independent efficiency metric used
 throughout.  The one exception is t = 1, where theta = 0 puts no weight on
 the q_1 samples: d = f^0 = 0 there, and the evaluation costs nothing.  That
-one pass is the system's fused `jacobian` kernel, since every evaluation
-also needs dd/dx = (1 - theta) J^{l-1} + theta J^l.  It is one weighted sum
+one pass is the system's kernel with weights, since every evaluation also
+needs dd/dx = (1 - theta) J^{l-1} + theta J^l.  It is one weighted sum
 sum_k w_k J_k of the per-sample Jacobians, so the kernel takes the weights w
 and returns the residual rows with that (n, n) sum; the pass still counts
 q_l per-sample Jacobians.
@@ -22,7 +22,7 @@ q_l per-sample Jacobians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -38,40 +38,48 @@ __all__ = ["StochasticSystem", "BlendedMap", "check_coercivity"]
 _FACE_POINTS = 256
 _MAX_XI = 200
 
-# Residual evaluators are batched over samples for speed:
-#   residual(x, xis[, tab]) -> F, (q, n) stacking f(x, xi_i) row-wise, stored
-#       column-major (the .T of a C-contiguous (n, q) array): the blend's
-#       sums over samples, F.sum(axis=0) and F[:q_lo].sum(axis=0), then each
-#       run down n contiguous columns instead of across q short rows; a
-#       row's bits may not depend on q, because evaluate reads f^{l-1} from
-#       the head of a q_l pass and sample_average(l-1) makes its own pass
-#   jacobian(x, xis, w[, tab]) -> (F, J), J (n, n) = sum_k w_k df/dx(x, xi_k)
-#       for weights w (q,); one fused pass whose F must equal
-#       residual(x, xis) bit for bit, because the tracer reads F from here
-#       while the reported saa_residual and the market check read residual
+# Each system has one kernel, batched over samples:
+#   jacobian(x, xis, w=None[, tab]) -> F, or (F, J) for weights w (q,):
+#       F (q, n) stacks f(x, xi_k) row-wise, stored column-major (the .T of a
+#       C-contiguous (n, q) array): the blend's sums over samples,
+#       F.sum(axis=0) and F[:q_lo].sum(axis=0), then each run down n
+#       contiguous columns instead of across q short rows; a row's bits may
+#       not depend on q, because evaluate reads f^{l-1} from the head of a q_l
+#       pass and sample_average(l-1) makes its own pass.  J (n, n) =
+#       sum_k w_k df/dx(x, xi_k) comes from the same pass
+#   residual(x, xis[, tab]) = jacobian(x, xis, None[, tab]), derived: the F
+#       the tracer reads and the F that saa_residual and the market check
+#       read are one computation
 #   tabulate(xis) -> tab, optional: the (k, q) C-contiguous terms that depend
 #       on the samples alone (sin's and svi's cos xi and sin xi, 2N trig
 #       calls, leaving 2n a pass).  A blended map tabulates all N samples on
 #       its first pass and hands each kernel call the columns of its q rows,
-#       tab[:, :q], which must give the bits of the call without tab; a
-#       system without tabulate gets two- and three-argument calls
+#       tab[:, :q], which must give the bits of the call without tab; the
+#       kernel of a system without tabulate gets three-argument calls
+KernelFn = Callable[..., "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 ResidualFn = Callable[..., np.ndarray]
-JacobianFn = Callable[..., tuple[np.ndarray, np.ndarray]]
 TabulateFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class StochasticSystem:
-    """A stochastic residual f(x, xi) with its x-Jacobian, domain box and,
-    optionally, the table of its sample-only terms."""
+    """A stochastic residual f(x, xi) given by its one kernel `jacobian`,
+    with its domain box and, optionally, the table of its sample-only terms.
+
+    `residual` is derived in __post_init__ as an instance field, not a
+    method, because bench/layers.py times the callables in vars(system) and
+    names the problems.residual_* and problems.jacobian_* metrics after them.
+    It calls the kernel the system was built with, so a wrapper later put on
+    `jacobian` does not see residual calls.
+    """
 
     n: int
-    residual: ResidualFn
-    jacobian: JacobianFn
+    jacobian: KernelFn
     box_lo: np.ndarray
     box_hi: np.ndarray
     x0: np.ndarray
     tabulate: TabulateFn | None = None
+    residual: ResidualFn = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lo = np.asarray(self.box_lo, dtype=float)
@@ -84,6 +92,9 @@ class StochasticSystem:
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
         object.__setattr__(self, "x0", x0)
+        kernel = self.jacobian
+        object.__setattr__(self, "residual",
+                           lambda x, xis, *tab: kernel(x, xis, None, *tab))
 
 
 @dataclass
@@ -126,13 +137,12 @@ class BlendedMap:
         """(F (q, n), F.sum(axis=0), sum_k w_k J_k (n, n) or None) over the
         first q samples.
 
-        One kernel call either way: `residual` for F alone, the fused
-        `jacobian` pass when weights w (q,) are given.  The column sums must
-        be finite, as they are not when any row is NaN or infinite.  One
-        reduce checks them: their sum is finite only if each of them is.
-        Only a non-finite sum reads them one by one (finite ones whose own
-        sum overflows pass), and only a non-finite one scans the rows, to
-        name the first bad one.  Each call adds q to eval_counter and, with
+        One kernel pass either way: `residual` for F alone, `jacobian` when
+        weights w (q,) are given.  The column sums must be finite, as they
+        are not when any row is NaN or infinite.  One reduce checks them:
+        their sum is finite only if each of them is.  Only a non-finite sum
+        reads them one by one (finite ones whose own sum overflows pass), and
+        only a non-finite one scans the rows, to name the first bad one.  Each call adds q to eval_counter and, with
         w, q to jac_counter.  The kernel gets the table's first q columns.
         """
         xis = self.samples.samples[:q]
@@ -167,7 +177,7 @@ class BlendedMap:
     def evaluate(self, x: np.ndarray, t: float):
         """(d, dd/dt, dd/dx) at (x, t) on the segment containing t.
 
-        One pass of the system's fused `jacobian` kernel over the first q_l
+        One pass of the system's kernel, `jacobian`, over the first q_l
         samples (none at t = 1, where theta = 0) gives d,
         dd/dt = theta_l'(t) (f^l - f^{l-1}), which is exactly (signed) zero
         at nodes, and dd/dx = sum_k w_k J_k, where w_k = theta/q_l on every

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from grsaa.homotopy import transform_derivs
+from grsaa.homotopy import KAPPA0, transform_derivs
 from grsaa.sampling import draw_samples
 from grsaa.saa import BlendedMap
 from grsaa.schedule import make_schedule
@@ -144,10 +144,9 @@ def test_criterion_6_invariant_suite():
     # transform product identity at relative 1e-12
     y = rng.uniform(-20, 20, 200)
     for t in (1e-8, 1e-3, 0.3, 1.0):
-        for kappa0 in (2, 3):
-            tr = transform_derivs(y, t, kappa0)
-            neg, pos = tr["neg"], tr["pos"]
-            assert np.allclose(neg * pos, t ** kappa0, rtol=1e-12, atol=0)
+        tr = transform_derivs(y, t)
+        neg, pos = tr["neg"], tr["pos"]
+        assert np.allclose(neg * pos, t ** KAPPA0, rtol=1e-12, atol=0)
 
     # endpoint exactness and alpha-neutrality of the plain homotopy
     inst = P.sin_instance(3)

@@ -48,7 +48,8 @@ def test_bench_runs_against_the_package(workload):
 
 def test_kernel_calls_keep_what_the_layer_hooks_read(monkeypatch):
     # bench/layers.py shadows the system fields `residual` and `jacobian` on
-    # the object (the per-layer metrics take those names) and counts a
+    # the object, iterating vars(system), where a method would be missing
+    # without an error (the per-layer metrics take those names), and counts a
     # call's rows as len(args[1]); bench/run.py times build_run as set-up, so
     # the table is made on the first pass, once per map; bench/workloads.py
     # checks svi answers with a raw-sample residual call
@@ -65,6 +66,7 @@ def test_kernel_calls_keep_what_the_layer_hooks_read(monkeypatch):
         _, hm = build_run(cfg)
         assert made == [], cfg.problem
         bm = hm.blended
+        assert {"residual", "jacobian"} <= set(vars(bm.system)), cfg.problem
         kernels = {name: getattr(bm.system, name) for name in ("residual", "jacobian")}
         rows = []
         for name, fn in kernels.items():

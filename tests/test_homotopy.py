@@ -115,61 +115,57 @@ def test_jac_plain_matches_finite_differences():
 
 # -- complementarity transform ----------------------------------------------
 
-def neg_pos(y, t, kappa0):
-    tr = transform_derivs(y, t, kappa0)
+def neg_pos(y, t):
+    tr = transform_derivs(y, t)
     return tr["neg"], tr["pos"]
 
 
 def test_transform_product_identity():
     y = np.array([-3.0, -0.5, 0.0, 0.5, 3.0, 1e8, -1e8])
     for t in (1e-8, 1e-3, 0.5, 1.0):
-        for kappa0 in (2, 3):
-            neg, pos = neg_pos(y, t, kappa0)
-            assert np.allclose(neg * pos, t ** kappa0, rtol=1e-12, atol=0)
+        neg, pos = neg_pos(y, t)
+        assert np.allclose(neg * pos, t ** KAPPA0, rtol=1e-12, atol=0)
 
 
 def test_transform_limit_at_t0():
     y = np.array([-2.0, -0.1, 0.0, 0.1, 2.0])
-    neg, pos = neg_pos(y, 0.0, 2)
-    assert np.array_equal(neg, np.maximum(-y, 0.0) ** 2)
-    assert np.array_equal(pos, np.maximum(y, 0.0) ** 2)
+    neg, pos = neg_pos(y, 0.0)
+    assert np.array_equal(neg, np.maximum(-y, 0.0) ** KAPPA0)
+    assert np.array_equal(pos, np.maximum(y, 0.0) ** KAPPA0)
 
 
 def test_transform_rejects_bad_args():
     with pytest.raises(ValueError):
-        neg_pos(np.zeros(1), -0.1, 2)
-    with pytest.raises(ValueError):
-        neg_pos(np.zeros(1), 0.5, 1)
+        neg_pos(np.zeros(1), -0.1)
 
 
 def test_transform_no_cancellation_for_large_y():
     # (sqrt(y^2 + 4t) - y)/2 evaluated naively at y = 1e12 is pure roundoff;
     # the factored form keeps full relative accuracy: a_neg ~ t / y
-    (neg,), (pos,) = neg_pos(np.array([1e12]), 1.0, 2)
+    (neg,), (pos,) = neg_pos(np.array([1e12]), 1.0)
     assert neg == pytest.approx(1e-24, rel=1e-12)
     assert pos == pytest.approx(1e24, rel=1e-12)
 
 
 def test_transform_derivs_match_finite_differences():
     rng = np.random.default_rng(11)
-    for kappa0 in (2, 3):
-        y = rng.uniform(-4, 4, 40)
-        for t in (1e-4, 0.2, 0.9):
-            tr = transform_derivs(y, t, kappa0)
-            h = 1e-7
-            neg_p, pos_p = neg_pos(y + h, t, kappa0)
-            neg_m, pos_m = neg_pos(y - h, t, kappa0)
-            assert np.allclose(tr["dneg_dy"], (neg_p - neg_m) / (2 * h),
-                               rtol=1e-5, atol=1e-8)
-            assert np.allclose(tr["dpos_dy"], (pos_p - pos_m) / (2 * h),
-                               rtol=1e-5, atol=1e-8)
-            ht = min(1e-7, t / 2)
-            neg_p, pos_p = neg_pos(y, t + ht, kappa0)
-            neg_m, pos_m = neg_pos(y, t - ht, kappa0)
-            assert np.allclose(tr["dneg_dt"], (neg_p - neg_m) / (2 * ht),
-                               rtol=1e-4, atol=1e-6)
-            assert np.allclose(tr["dpos_dt"], (pos_p - pos_m) / (2 * ht),
-                               rtol=1e-4, atol=1e-6)
+    y = rng.uniform(-4, 4, 40)
+    for t in (1e-4, 0.2, 0.9):
+        tr = transform_derivs(y, t)
+        h = 1e-7
+        neg_p, pos_p = neg_pos(y + h, t)
+        neg_m, pos_m = neg_pos(y - h, t)
+        assert np.allclose(tr["dneg_dy"], (neg_p - neg_m) / (2 * h),
+                           rtol=1e-5, atol=1e-8)
+        assert np.allclose(tr["dpos_dy"], (pos_p - pos_m) / (2 * h),
+                           rtol=1e-5, atol=1e-8)
+        ht = min(1e-7, t / 2)
+        neg_p, pos_p = neg_pos(y, t + ht)
+        neg_m, pos_m = neg_pos(y, t - ht)
+        assert np.allclose(tr["dneg_dt"], (neg_p - neg_m) / (2 * ht),
+                           rtol=1e-4, atol=1e-6)
+        assert np.allclose(tr["dpos_dt"], (pos_p - pos_m) / (2 * ht),
+                           rtol=1e-4, atol=1e-6)
 
 
 def textbook_transform(y, t, kappa0):
@@ -197,19 +193,17 @@ def test_transform_equals_the_textbook_formula_bit_for_bit():
         y[rng.random(6) < 0.2] = 0.0
         y[rng.random(6) < 0.1] = -0.0
         for t in (0.0, 1e-300, 1e-8, rng.uniform(), 1.0):
-            for kappa0 in (2, 3, 4):
-                tr = transform_derivs(y, t, kappa0)
-                ref = textbook_transform(y, t, kappa0)
-                assert tr.keys() == ref.keys()
-                for key in ref:
-                    assert tr[key].tobytes() == ref[key].tobytes(), (key, y, t)
+            tr = transform_derivs(y, t)
+            ref = textbook_transform(y, t, KAPPA0)
+            assert tr.keys() == ref.keys()
+            for key in ref:
+                assert tr[key].tobytes() == ref[key].tobytes(), (key, y, t)
 
 
-@given(y=st.floats(-50.0, 50.0), t=st.floats(1e-10, 1.0),
-       kappa0=st.integers(2, 4))
-def test_transform_identity_property(y, t, kappa0):
-    neg, pos = neg_pos(np.array([y]), t, kappa0)
-    assert neg[0] * pos[0] == pytest.approx(t ** kappa0, rel=1e-10)
+@given(y=st.floats(-50.0, 50.0), t=st.floats(1e-10, 1.0))
+def test_transform_identity_property(y, t):
+    neg, pos = neg_pos(np.array([y]), t)
+    assert neg[0] * pos[0] == pytest.approx(t ** KAPPA0, rel=1e-10)
 
 
 # -- start multiplier --------------------------------------------------------
@@ -218,22 +212,21 @@ def test_solve_start_y_matches_bisection_oracle():
     B = np.vstack([np.eye(2), -np.eye(2)])
     b = np.full(4, 10.0)
     x0 = np.array([0.3, -1.2])
-    for kappa0 in (2, 3):
-        y = solve_start_y(B, b, x0, kappa0)
-        c = b - B @ x0
-        for k in range(4):
-            root = brentq(
-                lambda v: neg_pos(np.array([v]), 1.0, kappa0)[1][0] - c[k],
-                -100.0, 100.0, xtol=1e-14)
-            assert y[k] == pytest.approx(root, abs=1e-12)
-        _, pos = neg_pos(y, 1.0, kappa0)
-        assert np.allclose(pos, c, rtol=1e-13)
+    y = solve_start_y(B, b, x0)
+    c = b - B @ x0
+    for k in range(4):
+        root = brentq(
+            lambda v: neg_pos(np.array([v]), 1.0)[1][0] - c[k],
+            -100.0, 100.0, xtol=1e-14)
+        assert y[k] == pytest.approx(root, abs=1e-12)
+    _, pos = neg_pos(y, 1.0)
+    assert np.allclose(pos, c, rtol=1e-13)
 
 
 def test_solve_start_y_rejects_boundary_start():
     B = np.ones((1, 1))
     with pytest.raises(ValueError, match="interior"):
-        solve_start_y(B, np.array([1.0]), np.array([1.0]), 2)
+        solve_start_y(B, np.array([1.0]), np.array([1.0]))
 
 
 # -- smoothed-KKT map --------------------------------------------------------
@@ -275,14 +268,14 @@ def test_constraint_dimensions_must_match(B, b):
 
 def test_kkt_zero_carries_feasibility_and_complementarity():
     # at a root of block 2, slack = pos(y, t) >= 0 so B x <= b, and the
-    # multiplier neg(y, t) times the slack equals t^kappa0 componentwise
+    # multiplier neg(y, t) times the slack equals t^KAPPA0 componentwise
     hm = kkt_map("svi", 1, N=40, L=2)
     t = 0.3
     x = np.array([0.8])
     # pick y solving block 2 exactly, then check the advertised structure
     c = hm.b - hm.B @ x
     y = c ** (1.0 / KAPPA0) - t / c ** (1.0 / KAPPA0)
-    neg, pos = neg_pos(y, t, KAPPA0)
+    neg, pos = neg_pos(y, t)
     assert np.allclose(hm.B @ x + pos, hm.b, rtol=1e-13)
     assert np.all(pos >= 0) and np.all(neg >= 0)
     assert np.allclose(neg * pos, t ** KAPPA0, rtol=1e-12)
@@ -345,7 +338,7 @@ def textbook_evaluate(hm, u, t):
     d, dd_dt, dd_dx = hm.blended.evaluate(x, t)
     F, dF_dt, dF_dx = d, dd_dt, dd_dx
     if M:
-        tr = transform_derivs(y, t, KAPPA0)
+        tr = transform_derivs(y, t)
         F = -d + hm.B.T @ tr["neg"]
         dF_dt = -dd_dt + hm.B.T @ tr["dneg_dt"]
         dF_dx = -dd_dx

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -39,7 +40,7 @@ def test_market_residual_matches_direct_formula():
     for k in range(51):
         p = rng.uniform(0.05, 1.0, 3)
         xi = rng.uniform(-1.0, 0.9) if k < 50 else -1.0  # and the lower end
-        got = P.market_residual(p, np.array([[xi]]))[0]
+        got = P.market_kernel(p, np.array([[xi]]))[0]
         want = market_residual_direct(p, xi)
         assert np.allclose(got, want, rtol=1e-12)
 
@@ -48,7 +49,7 @@ def test_market_residual_hand_value_cobb_douglas():
     # xi = 0 gives e = -1: demand_i = sum(p) (1/p_i) / sum_j (1/W_ij)
     p = np.array([0.5, 0.25, 0.25])
     want1 = (1.0 / 0.5) / (1.0 + 1.5 + 0.5)  # = 2/3
-    got = P.market_residual(p, np.zeros((1, 1)))[0]
+    got = P.market_kernel(p, np.zeros((1, 1)))[0]
     assert got[0] == pytest.approx(want1, rel=1e-14)
 
 
@@ -59,7 +60,7 @@ def test_market_jacobian_hand_value_cobb_douglas():
     for p in ([0.5, 0.25, 0.25], [0.4, 0.45, 0.15], [1e-3, 1.0, 0.3]):
         p = np.array(p)
         S = p.sum()
-        F, J = P.market_jacobian(p, np.zeros((1, 1)), np.ones(1))
+        F, J = P.market_kernel(p, np.zeros((1, 1)), np.ones(1))
         assert np.allclose(F[0], S * a / (3 * p), rtol=1e-13, atol=0.0)
         want = np.repeat((a / (3 * p))[:, None], 3, axis=1)
         want -= np.diag(S * a / (3 * p ** 2))
@@ -74,14 +75,14 @@ def test_market_kernels_finite_at_extremes():
         warnings.simplefilter("ignore", RuntimeWarning)
         for corner in np.ndindex(2, 2, 2):
             p = np.where(np.array(corner) == 1, 1.0, 1e-3)
-            F, J = P.market_jacobian(p, xis, np.array([0.5, 0.5]))
+            F, J = P.market_kernel(p, xis, np.array([0.5, 0.5]))
             assert np.all(np.isfinite(F)) and np.all(np.isfinite(J))
-            assert np.array_equal(F, P.market_residual(p, xis))
+            assert np.array_equal(F, P.market_kernel(p, xis))
     # outside the price domain every row has a non-finite entry, which the
     # map refuses upstream
     with np.errstate(invalid="ignore", divide="ignore"):
         for p in ([0.0, 0.5, 0.5], [-0.1, 0.5, 0.5]):
-            F = P.market_residual(np.array(p), np.array([[-1.0], [0.0], [0.5]]))
+            F = P.market_kernel(np.array(p), np.array([[-1.0], [0.0], [0.5]]))
             assert not np.isfinite(F).all(axis=1).any()
 
 
@@ -89,11 +90,11 @@ def test_market_residual_is_stable_near_xi_one():
     # the direct power formula overflows as xi -> 1; the shifted kernel
     # must stay finite there (after the documented clip)
     p = np.array([0.4, 0.45, 0.15])
-    out = P.market_residual(p, np.array([[1.0 - 1e-9]]))
+    out = P.market_kernel(p, np.array([[1.0 - 1e-9]]))
     assert np.all(np.isfinite(out))
 
 
-def check_weighted_jacobian(jacobian, residual, xs, xis, ws, rtol, atol):
+def check_weighted_jacobian(kernel, xs, xis, ws, rtol, atol):
     """The kernel's sum_k w_k J_k against central differences (h = 1e-7):
     per sample with one-hot w, and for each random w in ws against
     sum_k w_k FD_k."""
@@ -106,12 +107,12 @@ def check_weighted_jacobian(jacobian, residual, xs, xis, ws, rtol, atol):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd[:, :, j] = (residual(xp, xis) - residual(xm, xis)) / (2 * h)
+            fd[:, :, j] = (kernel(xp, xis) - kernel(xm, xis)) / (2 * h)
         for k, onehot in enumerate(np.eye(q)):
-            _, J = jacobian(x, xis, onehot)
+            _, J = kernel(x, xis, onehot)
             assert J.shape == (n, n)
             assert np.allclose(J, fd[k], rtol=rtol, atol=atol)
-        _, J = jacobian(x, xis, w)
+        _, J = kernel(x, xis, w)
         assert np.allclose(J, np.einsum("k,kij->ij", w, fd), rtol=rtol, atol=atol)
 
 
@@ -120,7 +121,7 @@ def test_market_jacobian_matches_finite_differences():
     xis = rng.uniform(-1.0, 0.8, (5, 1))
     ps = [rng.uniform(0.05, 1.0, 3) for _ in range(100)]
     ws = rng.uniform(0.0, 1.0, (100, 5))
-    check_weighted_jacobian(P.market_jacobian, P.market_residual, ps, xis, ws,
+    check_weighted_jacobian(P.market_kernel, ps, xis, ws,
                             rtol=1e-5, atol=1e-7)
 
 
@@ -177,7 +178,7 @@ def test_market_kernel_equals_the_softmax_reference(seed):
         e = tab[0, :q]
         for p in ps:
             w = rng.uniform(0.0, 1.0, q)
-            F, J = P.market_jacobian(p, xis[:q], w, tab[:, :q])
+            F, J = P.market_kernel(p, xis[:q], w, tab[:, :q])
             F_ref, J_ref = market_jacobian_softmax(p, e, w)
             bound = SHIFT_RTOL * (1.0 + np.abs(e))[:, None] * F_ref + UNDERFLOW_ATOL
             assert np.all(np.abs(F - F_ref) <= bound), (q, p)
@@ -200,8 +201,8 @@ def test_market_walras_law_property(p, xis):
     with warnings.catch_warnings(), \
             np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.filterwarnings("ignore", "clipped CES", RuntimeWarning)
-        F = P.market_residual(p, xis)
-        F_jac, J = P.market_jacobian(p, xis, w)
+        F = P.market_kernel(p, xis)
+        F_jac, J = P.market_kernel(p, xis, w)
     assert np.array_equal(F, F_jac) and np.all(np.isfinite(J))
     assert np.allclose(F @ p, p.sum(), rtol=1e-14, atol=0.0)
 
@@ -224,29 +225,37 @@ def test_ces_clip_is_reported_once_per_solve():
     assert np.allclose(result.x_star, x_ref, rtol=0.0, atol=1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert np.array_equal(P.market_residual(x_ref, samples.samples[9616:9617]),
-                              P.market_residual(x_ref, np.array([[1.0 - 1e-6]])))
+        assert np.array_equal(P.market_kernel(x_ref, samples.samples[9616:9617]),
+                              P.market_kernel(x_ref, np.array([[1.0 - 1e-6]])))
 
 
 KERNEL_SIZES = [("market", 3), ("sin", 1), ("sin", 3), ("sin", 8), ("svi", 1), ("svi", 2)]
 
 
-@pytest.mark.parametrize("name, n", KERNEL_SIZES)
+def kernel_only_system(n):
+    """sin's kernel behind a signature without tab, in a system without
+    tabulate: its derived residual(x, xis) makes the three-argument call
+    kernel(x, xis, None)."""
+    return dataclasses.replace(P.sin_instance(n).system, tabulate=None,
+                               jacobian=lambda x, xis, w=None: P.sin_kernel(x, xis, w))
+
+
+@pytest.mark.parametrize("name, n", KERNEL_SIZES + [("kernel-only", 3)])
 def test_fused_jacobian_rows_equal_residual_bit_for_bit(name, n):
-    # the corrector reads F from the fused pass and the landing Newton from
-    # residual: both must see one map
-    inst = P.get_instance(name, n)
+    # the corrector reads F from the weighted pass and the landing Newton from
+    # residual, the kernel with w = None: both must see one map
+    system = (kernel_only_system(n) if name == "kernel-only"
+              else P.get_instance(name, n).system)
     rng = np.random.default_rng(5)
     xis = rng.uniform(-1.0, 1.0, (257, 1))
     xis[100] = 1.0 - 1e-9  # clipped by the market kernel
-    lo, hi = inst.system.box_lo, inst.system.box_hi
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for _ in range(20):
-            x = rng.uniform(lo, hi)
-            F, J = inst.system.jacobian(x, xis, np.full(257, 1.0 / 257))
+            x = rng.uniform(system.box_lo, system.box_hi)
+            F, J = system.jacobian(x, xis, np.full(257, 1.0 / 257))
             assert J.shape == (n, n)
-            assert np.array_equal(F, inst.system.residual(x, xis))
+            assert np.array_equal(F, system.residual(x, xis))
 
 
 @pytest.mark.parametrize("name, n", KERNEL_SIZES)
@@ -362,7 +371,7 @@ def test_market_verify_rejects_infeasible_point():
 
 def test_sin_residual_hand_values():
     # x = (1, -0.5), xi = 0.2: f1 = 1 - 5 sin(0.7), f2 = -0.5 - 5 sin(1.2)
-    got = P.sin_residual(np.array([1.0, -0.5]), np.array([[0.2]]))[0]
+    got = P.sin_kernel(np.array([1.0, -0.5]), np.array([[0.2]]))[0]
     assert got[0] == pytest.approx(1.0 - 5.0 * math.sin(0.7), rel=1e-15)
     assert got[1] == pytest.approx(-0.5 - 5.0 * math.sin(1.2), rel=1e-15)
     assert got[0] == pytest.approx(-2.2210884371, abs=1e-9)
@@ -384,7 +393,7 @@ def test_sin_jacobian_matches_finite_differences():
     xis = rng.uniform(-1, 1, (4, 1))
     xs = [rng.uniform(-2, 2, 3) for _ in range(100)]
     ws = rng.uniform(0.0, 1.0, (100, 4))
-    check_weighted_jacobian(P.sin_jacobian, P.sin_residual, xs, xis, ws,
+    check_weighted_jacobian(P.sin_kernel, xs, xis, ws,
                             rtol=1e-5, atol=1e-6)
 
 
@@ -488,7 +497,7 @@ def exp_cos_mean_series(a):
 
 
 def test_svi_residual_hand_value():
-    got = P.svi_residual(np.zeros(2), np.zeros((1, 1)))[0]
+    got = P.svi_kernel(np.zeros(2), np.zeros((1, 1)))[0]
     assert np.allclose(got, -math.e, rtol=1e-15)
 
 
@@ -504,7 +513,7 @@ def test_svi_jacobian_matches_finite_differences():
     xis = rng.uniform(-1, 1, (4, 1))
     xs = [rng.uniform(-2, 2, 2) for _ in range(100)]
     ws = rng.uniform(0.0, 1.0, (100, 4))
-    check_weighted_jacobian(P.svi_jacobian, P.svi_residual, xs, xis, ws,
+    check_weighted_jacobian(P.svi_kernel, xs, xis, ws,
                             rtol=1e-5, atol=1e-6)
 
 

@@ -12,12 +12,19 @@ from grsaa.schedule import NodeSchedule, make_schedule
 from grsaa import problems as P
 
 
+def kernel_of(rows, jac):
+    """One kernel from rows(x, xis) -> F and jac(x, w) -> sum_k w_k J_k:
+    F alone without weights, (F, J) with them."""
+    def kernel(x, xis, w=None):
+        F = rows(x, xis)
+        return F if w is None else (F, jac(x, w))
+    return kernel
+
+
 def identity_in_xi_system():
     """Scalar system f(x, xi) = xi: averages are sample means."""
     return StochasticSystem(
-        n=1,
-        residual=lambda x, xis: xis.copy(),
-        jacobian=lambda x, xis, w: (xis.copy(), np.zeros((1, 1))),
+        n=1, jacobian=kernel_of(lambda x, xis: xis.copy(), lambda x, w: np.zeros((1, 1))),
         box_lo=np.array([-2.0]), box_hi=np.array([2.0]), x0=np.array([0.0]))
 
 
@@ -169,7 +176,7 @@ def test_mismatched_partition_and_schedule_rejected():
 
 
 def _system(**changes):
-    base = dict(n=1, residual=None, jacobian=None,
+    base = dict(n=1, jacobian=None,
                 box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
                 x0=np.array([0.0]))
     return StochasticSystem(**{**base, **changes})
@@ -202,7 +209,7 @@ def test_nonfinite_residual_reports_sample_index():
         out[3] = np.nan
         return out
 
-    sys_ = StochasticSystem(n=1, residual=bad, jacobian=None,
+    sys_ = StochasticSystem(n=1, jacobian=kernel_of(bad, lambda x, w: np.zeros((1, 1))),
                             box_lo=np.array([-1.0]), box_hi=np.array([1.0]),
                             x0=np.array([0.0]))
     samples = SampleSet(np.zeros((6, 1)))
@@ -210,19 +217,17 @@ def test_nonfinite_residual_reports_sample_index():
                     schedule=make_schedule("uniform", 6, 1))
     with pytest.raises(FloatingPointError, match="sample index 3"):
         bm.sample_average(1, np.zeros(1))
-    # the fused (F, J) pass checks F the same way and counts nothing
-    bm.system = dataclasses.replace(
-        sys_, jacobian=lambda x, xis, w: (bad(x, xis), np.zeros((1, 1))))
+    # the weighted (F, J) pass checks F the same way and counts nothing
     with pytest.raises(FloatingPointError, match="sample index 3"):
         bm.evaluate(np.zeros(1), 0.5)
     assert (bm.eval_counter, bm.jac_counter) == (0, 0)
 
 
 def rows_map(rows):
-    """BlendedMap over a scalar system whose kernels return `rows` (q, 1)."""
+    """BlendedMap over a scalar system whose kernel returns `rows` (q, 1)."""
     sys_ = StochasticSystem(
-        n=1, residual=lambda x, xis: rows[:xis.shape[0]].copy(),
-        jacobian=lambda x, xis, w: (rows[:xis.shape[0]].copy(), np.zeros((1, 1))),
+        n=1, jacobian=kernel_of(lambda x, xis: rows[:xis.shape[0]].copy(),
+                                lambda x, w: np.zeros((1, 1))),
         box_lo=np.array([-1.0]), box_hi=np.array([1.0]), x0=np.array([0.0]))
     q = rows.shape[0]
     return BlendedMap(system=sys_, samples=SampleSet(np.zeros((q, 1))),
@@ -276,8 +281,8 @@ def points(bm, rng):
 
 
 def test_evaluate_paths_agree_bit_for_bit():
-    # the tracer reads the fused pass, saa_residual and the market check the
-    # residual kernel through sample_average: the blend must not tell them apart
+    # the tracer reads the weighted pass, saa_residual and the market check
+    # the residual through sample_average: the blend must not tell them apart
     rng = np.random.default_rng(11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -294,12 +299,14 @@ def test_evaluate_paths_agree_bit_for_bit():
 
 
 def test_evaluate_makes_one_kernel_call():
+    # one kernel: a call without weights is a residual pass, one with them a
+    # Jacobian pass
     calls = {}
 
-    def counted(name, fn):
-        def call(x, xis, *w):
-            calls[name] += 1
-            return fn(x, xis, *w)
+    def counted(kernel):
+        def call(x, xis, w=None, *tab):
+            calls["residual" if w is None else "jacobian"] += 1
+            return kernel(x, xis, w, *tab)
         return call
 
     rng = np.random.default_rng(12)
@@ -307,8 +314,7 @@ def test_evaluate_makes_one_kernel_call():
         warnings.simplefilter("ignore", RuntimeWarning)
         for bm in problem_maps():
             bm.system = dataclasses.replace(
-                bm.system, residual=counted("residual", bm.system.residual),
-                jacobian=counted("jacobian", bm.system.jacobian))
+                bm.system, jacobian=counted(bm.system.jacobian))
             for x, t in points(bm, rng):
                 calls.update(residual=0, jacobian=0)
                 bm.evaluate(x, t)
@@ -340,10 +346,10 @@ def test_evaluate_jacobian_blends_per_sample_jacobians():
 
 
 def two_column_map(rows):
-    """BlendedMap over a system with n = 2 whose kernels return `rows` (q, 2)."""
+    """BlendedMap over a system with n = 2 whose kernel returns `rows` (q, 2)."""
     sys_ = StochasticSystem(
-        n=2, residual=lambda x, xis: rows[:xis.shape[0]].copy(),
-        jacobian=lambda x, xis, w: (rows[:xis.shape[0]].copy(), np.zeros((2, 2))),
+        n=2, jacobian=kernel_of(lambda x, xis: rows[:xis.shape[0]].copy(),
+                                lambda x, w: np.zeros((2, 2))),
         box_lo=-np.ones(2), box_hi=np.ones(2), x0=np.zeros(2))
     q = rows.shape[0]
     return BlendedMap(system=sys_, samples=SampleSet(np.zeros((q, 1))),
@@ -410,10 +416,8 @@ def test_evaluate_equals_a_direct_kernel_call_bit_for_bit(problem, x):
 def coercive_map(sign):
     sys_ = StochasticSystem(
         n=2,
-        residual=lambda x, xis: sign * np.repeat(x[None, :], xis.shape[0], axis=0),
-        jacobian=lambda x, xis, w: (
-            sign * np.repeat(x[None, :], xis.shape[0], axis=0),
-            sign * w.sum() * np.eye(2)),
+        jacobian=kernel_of(lambda x, xis: sign * np.repeat(x[None, :], xis.shape[0], axis=0),
+                           lambda x, w: sign * w.sum() * np.eye(2)),
         box_lo=np.array([-1.0, -1.0]), box_hi=np.array([1.0, 1.0]),
         x0=np.zeros(2))
     samples = SampleSet(np.zeros((4, 1)))
@@ -445,14 +449,14 @@ def test_coercivity_same_point_count_on_every_face():
     for n in (1, 3, 14):
         bm = sin_map(n=n, N=50, L=2)
         seen = []
-        residual = bm.system.residual
+        kernel = bm.system.jacobian
 
-        def recording(x, xis, *tab):
+        def recording(x, xis, *args):
             seen.append(x.copy())
-            return residual(x, xis, *tab)
+            return kernel(x, xis, *args)
 
         bm = dataclasses.replace(
-            bm, system=dataclasses.replace(bm.system, residual=recording))
+            bm, system=dataclasses.replace(bm.system, jacobian=recording))
         report = check_coercivity(bm)
         pts = np.array(seen)
         lo, hi = bm.system.box_lo, bm.system.box_hi

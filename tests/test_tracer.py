@@ -145,11 +145,12 @@ def linear_hm(root=2.0, half_width=9.0):
 
     Root for fixed t: x(t) = root (1-t) theta / ((1-t) theta + t).
     """
+    def kernel(x, xis, w=None):
+        F = np.repeat(x[None, :] - root, xis.shape[0], axis=0)
+        return F if w is None else (F, w.sum() * np.ones((1, 1)))
+
     sys_ = StochasticSystem(
-        n=1,
-        residual=lambda x, xis: np.repeat(x[None, :] - root, xis.shape[0], axis=0),
-        jacobian=lambda x, xis, w: (np.repeat(x[None, :] - root, xis.shape[0], axis=0),
-                                    w.sum() * np.ones((1, 1))),
+        n=1, jacobian=kernel,
         box_lo=np.array([-half_width]), box_hi=np.array([half_width]),
         x0=np.array([0.0]))
     bm = BlendedMap(system=sys_, samples=SampleSet(np.zeros((1, 1))),
