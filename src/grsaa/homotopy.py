@@ -6,12 +6,12 @@ problem's constraints B x <= b (M rows; M = 0 without constraints).
 
 F is the problem's operator.  With M = 0 the unknown is x alone, block 2 is
 empty and F = d(x, t), the blended sample-average map, so the map at t = 0
-is the full-sample SAA.  With constraints F = -d + B^T neg(y, t): the
-convention d = B^T lambda, lambda = neg(y, t).  It states the market
-equilibrium, where excess demand equals B^T z; the box-constrained svi needs
-d + B^T lambda instead and is traced with the wrong sign (ROADMAP item 2).
-alpha bends the interior of the path in either form and vanishes at both
-ends.
+is the full-sample SAA.  With constraints F = d + B^T neg(y, t), the KKT
+form of the variational inequality VI(C, d) over C = {B x <= b}: d + B^T
+lambda = 0 with multipliers lambda = neg(y, t).  The market equilibrium,
+where excess demand equals B^T z, is VI(C, -excess demand), so its kernel
+returns minus the excess demand.  alpha bends the interior of the path in
+either form and vanishes at both ends.
 
 The smoothed complementarity pair
 
@@ -174,17 +174,16 @@ class HomotopyMap:
         d, dd_dt, dd_dx = self.blended.evaluate(x, t)
         s = 1.0 - t
         # the operator F and its partials: d itself for M = 0; with
-        # constraints F = B^T neg - d, dF/dt = B^T dneg_dt - dd_dt and
-        # dF/dx = -dd/dx, whose product with s is dd/dx times -s
-        F, dF_dt, s_x = d, dd_dt, s
+        # constraints F = B^T neg + d, dF/dt = B^T dneg_dt + dd_dt and
+        # dF/dx = dd/dx
+        F, dF_dt = d, dd_dt
         if M:
             tr = transform_derivs(y, t)
             Bt = self.B.T
             F = Bt @ tr["neg"]
-            F -= d
+            F += d
             dF_dt = Bt @ tr["dneg_dt"]
-            dF_dt -= dd_dt
-            s_x = -s
+            dF_dt += dd_dt
             J = self._J_constrained.copy()
         else:
             J = np.empty((D, D + 1))  # every block is assigned below
@@ -196,7 +195,7 @@ class HomotopyMap:
         h1 -= t * s * self.alpha
         # s dF_dx + t I; adding +0.0 everywhere, as t * 0.0 does off the
         # diagonal, turns a -0.0 product into +0.0
-        Jx = np.multiply(dd_dx, s_x, out=J[:n, :n])
+        Jx = np.multiply(dd_dx, s, out=J[:n, :n])
         Jx += 0.0
         J.reshape(-1)[:n * (D + 2):D + 2] += t
         # -F + s dF_dt + dx - (1 - 2t) alpha

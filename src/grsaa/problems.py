@@ -20,12 +20,14 @@ Jacobian.  The kernel facts, stated here once:
   svi.  A kernel called without tab tabulates its own samples, to the same
   bits.
 - Per-point shift (market).  With c = log p - log a, good i's share p_i^e /
-  g_i is exp(e c_i) / sum_j p_j exp(e c_j), and F = S share with S = sum(p).
-  Every e = 1/(xi - 1) is negative under the clipped sample law
-  (xi <= 1 - 1e-6), so shifting c once per price point by c* = min_j c_j
-  bounds E_jk = exp(e_k (c_j - c*)) to (0, 1], with E = 1 at the argmin:
-  nothing overflows for any xi in [-1, 1), r_k = sum_j p_j E_jk >= min(p) > 0
-  and F = E (S / r).
+  g_i is exp(e c_i) / sum_j p_j exp(e c_j), and the excess demand is
+  sum(p) share.  Every e = 1/(xi - 1) is negative under the clipped sample
+  law (xi <= 1 - 1e-6), so shifting c once per price point by
+  c* = min_j c_j bounds E_jk = exp(e_k (c_j - c*)) to (0, 1], with E = 1 at
+  the argmin: nothing overflows for any xi in [-1, 1), and
+  r_k = sum_j p_j E_jk >= min(p) > 0.  The kernel returns minus the excess
+  demand, the operator of the market's variational inequality, as
+  F = E (S / r) with S = -sum(p).
 - Angle addition (sin, svi).  With a_i = i sum(x),
   sin(a_i + xi_k) = sin a_i cos xi_k + cos a_i sin xi_k and
   cos(a_i + xi_k) = cos a_i cos xi_k - sin a_i sin xi_k: 2n trig calls a
@@ -110,8 +112,9 @@ def _market_table(xis: np.ndarray) -> np.ndarray:
 
 def market_kernel(p: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
                   tab: np.ndarray | None = None):
-    """Excess demand f(p, xi) = sum(p) * (p_i^e / g_i)_i, unit endowments,
-    from one shift per price point; with weights w, (F, sum_k w_k J_k)."""
+    """Minus the excess demand, f(p, xi) = -sum(p) * (p_i^e / g_i)_i with
+    unit endowments, from one shift per price point; with weights w,
+    (F, sum_k w_k J_k)."""
     p = np.asarray(p, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.log(p)  # nan for p <= 0 -> rejected upstream as non-finite
@@ -123,17 +126,18 @@ def market_kernel(p: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
     r = F[0] * p[0]
     for j in range(1, p.size):
         r += F[j] * p[j]
-    S = np.add.reduce(p)
+    S = -np.add.reduce(p)
     F *= np.divide(S, r, out=r)
     del r  # not held through J's (3, q) temporaries
     if w is None:
         return F.T
     # d share_ki / dp_j = share_ki (e_k d_ij / p_j - (1 + e_k) share_kj), so
-    # sum_k w_k J_k = S (diag(b/p) - G) + a 1^T with a = share w,
-    # b = share (w e) and G = share diag(w (1 + e)) share^T.  With F = S share
-    # in place of share that is diag(F (w e) / p) - F diag(w (1 + e)) F^T / S
-    # + (F w / S) 1^T: two matrix-vector products and one (3, q) x (q, 3)
-    # product, which feed J only
+    # sum_k w_k J_k = S (diag(b/p) - G) - a 1^T with a = share w,
+    # b = share (w e) and G = share diag(w (1 + e)) share^T (the last term's
+    # sign is that of dS/dp = -1).  With F = S share in place of share that
+    # is diag(F (w e) / p) - F diag(w (1 + e)) F^T / S - (F w / S) 1^T: two
+    # matrix-vector products and one (3, q) x (q, 3) product, which feed J
+    # only
     we = w * e
     Fw, Fwe = F @ w, F @ we
     we += w
@@ -141,7 +145,7 @@ def market_kernel(p: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
     J *= -1.0 / S
     J.reshape(-1)[::p.size + 1] += Fwe / p
     Fw /= S
-    J += Fw[:, None]
+    J -= Fw[:, None]
     return F.T, J
 
 
@@ -158,12 +162,13 @@ def market_instance() -> ProblemInstance:
 def market_verify(p: np.ndarray, bm: BlendedMap, tol: float = 1e-8) -> dict:
     """Check a candidate price vector against the stationarity conditions at
     the full-sample level: feasibility of B p <= b and existence of
-    multipliers z >= 0 on the active rows with f^L(p) = B^T z."""
+    multipliers z >= 0 on the active rows with f^L(p) = B^T z, f^L being
+    the full-sample excess demand (minus the kernel's average)."""
     p = np.asarray(p, dtype=float)
     slack = MARKET_b - MARKET_B @ p
     feasible = bool(np.all(slack >= -tol))
     active = slack <= tol
-    fN = bm.sample_average(bm.L, p)
+    fN = -bm.sample_average(bm.L, p)
     if active.any():
         Bact = MARKET_B[active]
         z_act, *_ = np.linalg.lstsq(Bact.T, fN, rcond=None)

@@ -10,13 +10,25 @@ estimate; a near-singular or non-finite bordered matrix is refused:
 - the tangent borders with the previous tangent and solves for the
   right-hand side e_{d+1}; the first step borders with -e_t, where
   e_t = (0, ..., 0, 1), so that t starts to decrease;
-- the corrector borders with the current tangent, which keeps the iterate
-  on the hyperplane through the predicted point;
+- the corrector borders with e_t on a steep step, whose tangent has a
+  t-component below _HOLD_T_BELOW = -0.1: that holds t at the predicted
+  level, where the map is one smooth blend of two sample averages, and
+  lets correct() halve a step that does not lower the residual.  Near a
+  fold, where t must move, it borders with the current tangent, which keeps
+  the iterate on the hyperplane through the predicted point;
 - the landing borders with e_t, which pins t at the map's terminal level:
   without constraints at t = 0, where the map coincides with the
   full-sample SAA and is polished to _POLISH_TOL; with constraints at a small
   positive t_end, because the complementarity transform loses
-  differentiability at t = 0 on the active set.
+  differentiability at t = 0 on the active set.  It starts from the
+  tangent's extrapolation to t_end, u + (t_end - t) / tau_t * tau_u.
+
+Step control (Allgower & Georg, ch. 6.1): the tangent at a corrected point
+is computed before the step is accepted.  If its cosine with the previous
+tangent is below _MIN_COS = 0.5, a turn of more than 60 degrees, or no
+tangent exists there, the step is rejected like a failed corrector: h is
+halved and the previous tangent kept.  An accepted point's tangent is the
+next step's, so an accepted step costs one tangent solve.
 """
 
 from __future__ import annotations
@@ -40,6 +52,8 @@ _CORRECTOR_TOL = 1e-10
 _H_MIN = 1e-10
 _GROW = 1.5
 _SHRINK = 0.5
+_HOLD_T_BELOW = -0.1  # a tangent t-component below this holds t (steep step)
+_MIN_COS = 0.5  # a step whose tangent turns more than 60 degrees is rejected
 
 
 @dataclass
@@ -149,13 +163,14 @@ def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
     (u, t)-Jacobian at the accepted point, or None on rejection (non-
     convergence, a non-finite residual, or near-singular linear algebra).
     t is clamped to [0, 1] throughout; excursions beyond are overshoot.
-    With tau = e_t, which fixes t (the landing), a step that does not lower
-    ||h||_inf or leads to a non-finite residual is halved back from the last
-    iterate; every evaluation counts against cfg.max_corrector_iters.
+    With tau = e_t, which fixes t (the landing and a steep step), a step
+    that does not lower ||h||_inf or leads to a non-finite residual is
+    halved back from the last iterate; every evaluation counts against
+    cfg.max_corrector_iters.
     """
     tol = _CORRECTOR_TOL if tol is None else tol
     d = hm.dim
-    # only the landing row e_t; the first tangent of a plain map is -e_t
+    # only the row e_t; the first tangent of a plain map is -e_t
     fixed_t = tau[d] == 1.0 and not np.any(tau[:d])
     anchor = np.concatenate([u_pred, [min(max(t_pred, 0.0), 1.0)]])
     v = anchor.copy()
@@ -238,17 +253,24 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         # at or past the terminal level, or a step that would cross it: land
         landing = t <= t_end or (t_pred <= t_end and tau[-1] < 0)
         if landing:
-            start, t_start, row, tol = u, t_end, e_t, land_tol
+            # from the tangent's extrapolation to t_end where it descends
+            start = u + (t_end - t) / tau[-1] * tau[:d] if tau[-1] < 0 else u
+            hit = correct(hm, start, t_end, e_t, cfg, land_tol)
         else:
-            start, t_start, row, tol = u + h * tau[:d], t_pred, tau, None
-        hit = correct(hm, start, t_start, row, cfg, tol)
-        if hit is None:  # the landing or the corrector failed: shrink, retry
+            # a steep step holds t at t_pred; near a fold t must move
+            row = e_t if tau[-1] < _HOLD_T_BELOW else tau
+            hit = correct(hm, u + h * tau[:d], t_pred, row, cfg)
+            if hit is not None:
+                tau_new = tangent(hit[4], tau)
+                if tau_new is None or tau_new @ tau < _MIN_COS:
+                    hit = None  # no tangent there, or it turns too far
+        if hit is None:  # the step or the landing failed: shrink, retry
             counters["rejected_steps"] += 1
             h *= _SHRINK
             if h < _H_MIN:
                 return finish("stalled")
             continue
-        u, t, iters, res0, J = hit
+        u, t, iters, res0, _ = hit
         if landing:
             path.append(point(u, t_end, 0.0, iters, res0))
             return finish("converged")
@@ -261,7 +283,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             return finish("diverged-out-of-box")
         if iters <= 3:
             h = min(_GROW * h, cfg.h_max)
-        tau = tangent(J, tau)
+        tau = tau_new
     return finish("max_steps")
 
 

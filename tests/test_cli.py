@@ -307,11 +307,13 @@ def test_diagnose_coercivity_refuses_constrained_problems(tmp_path, capsys,
 
 
 def test_path_back_at_its_start_level_exits_2(tmp_path, capsys):
-    # sample seed 9483 of sin n = 3, N = 100, L = 4 is clamped back to t = 1
-    # at step 14; the trace ends there instead of retracing its path
+    # sample seed 88 of sin n = 1, N = 20, L = 8 turns back past 90 degrees
+    # in one held step near t = 0.84, which the tangent's border reads as a
+    # smaller turn, and is clamped back to t = 1 at step 11; the trace ends
+    # there instead of retracing its path
     out = tmp_path / "run"
-    code = run(["solve", "--problem", "sin", "--n", "3", "--N", "100",
-                "--L", "4", "--seed", "9483", "--out", str(out)])
+    code = run(["solve", "--problem", "sin", "--n", "1", "--N", "20",
+                "--L", "8", "--seed", "88", "--out", str(out)])
     assert code == EXIT_SOLVER
     assert json.loads((out / "summary.json").read_text())["status"] == "returned-to-start"
     assert "returned-to-start" in capsys.readouterr().out

@@ -339,9 +339,8 @@ def textbook_evaluate(hm, u, t):
     F, dF_dt, dF_dx = d, dd_dt, dd_dx
     if M:
         tr = transform_derivs(y, t)
-        F = -d + hm.B.T @ tr["neg"]
-        dF_dt = -dd_dt + hm.B.T @ tr["dneg_dt"]
-        dF_dx = -dd_dx
+        F = d + hm.B.T @ tr["neg"]
+        dF_dt = dd_dt + hm.B.T @ tr["dneg_dt"]
     h = (1.0 - t) * F + t * (x - hm.x0) - t * (1.0 - t) * hm.alpha
     if M:
         h = np.concatenate([h, hm.B @ x + tr["pos"] - hm.b])

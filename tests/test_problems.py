@@ -22,7 +22,7 @@ def market_residual_direct(p, xi):
     """CES excess demand from the untransformed power formula.
 
     Safe only for moderate substitution values; used as an independent
-    oracle for the shifted production kernel.
+    oracle for the shifted production kernel, which returns its negative.
     """
     W = np.array([[1.0, 2.0 / 3.0, 2.0],
                   [1.5, 1.0, 3.0],
@@ -40,7 +40,7 @@ def test_market_residual_matches_direct_formula():
     for k in range(51):
         p = rng.uniform(0.05, 1.0, 3)
         xi = rng.uniform(-1.0, 0.9) if k < 50 else -1.0  # and the lower end
-        got = P.market_kernel(p, np.array([[xi]]))[0]
+        got = -P.market_kernel(p, np.array([[xi]]))[0]
         want = market_residual_direct(p, xi)
         assert np.allclose(got, want, rtol=1e-12)
 
@@ -49,18 +49,20 @@ def test_market_residual_hand_value_cobb_douglas():
     # xi = 0 gives e = -1: demand_i = sum(p) (1/p_i) / sum_j (1/W_ij)
     p = np.array([0.5, 0.25, 0.25])
     want1 = (1.0 / 0.5) / (1.0 + 1.5 + 0.5)  # = 2/3
-    got = P.market_kernel(p, np.zeros((1, 1)))[0]
+    got = -P.market_kernel(p, np.zeros((1, 1)))[0]
     assert got[0] == pytest.approx(want1, rel=1e-14)
 
 
 def test_market_jacobian_hand_value_cobb_douglas():
-    # xi = 0 gives e = -1 and f_i = S a_i / (3 p_i) with S = sum(p) and
-    # a = (1, 1.5, 0.5), so J_ij = a_i / (3 p_i) - d_ij S a_i / (3 p_i^2)
+    # xi = 0 gives e = -1 and excess demand S a_i / (3 p_i) with S = sum(p)
+    # and a = (1, 1.5, 0.5), whose Jacobian is a_i / (3 p_i) -
+    # d_ij S a_i / (3 p_i^2); the kernel returns the negatives of both
     a = np.array([1.0, 1.5, 0.5])
     for p in ([0.5, 0.25, 0.25], [0.4, 0.45, 0.15], [1e-3, 1.0, 0.3]):
         p = np.array(p)
         S = p.sum()
         F, J = P.market_kernel(p, np.zeros((1, 1)), np.ones(1))
+        F, J = -F, -J
         assert np.allclose(F[0], S * a / (3 * p), rtol=1e-13, atol=0.0)
         want = np.repeat((a / (3 * p))[:, None], 3, axis=1)
         want -= np.diag(S * a / (3 * p ** 2))
@@ -129,7 +131,8 @@ def market_jacobian_softmax(p, e, w):
     """The market kernel as it was first written, in log space: one
     max-shifted softmax column s_k over the goods per sample, shares s_k/p
     and J = (S/p_j)(d_ij b_i - C_ij) + a_i with C = share^T (w (1+e) s).
-    The reference the per-point shifted kernel is compared with."""
+    The reference the per-point shifted kernel, which returns minus the
+    excess demand, is compared with."""
     l = np.log(p)
     v = np.multiply.outer(l, 1.0 + e) - np.multiply.outer(P._LOG_A, e)
     v -= v.max(axis=0)
@@ -179,6 +182,7 @@ def test_market_kernel_equals_the_softmax_reference(seed):
         for p in ps:
             w = rng.uniform(0.0, 1.0, q)
             F, J = P.market_kernel(p, xis[:q], w, tab[:, :q])
+            F, J = -F, -J
             F_ref, J_ref = market_jacobian_softmax(p, e, w)
             bound = SHIFT_RTOL * (1.0 + np.abs(e))[:, None] * F_ref + UNDERFLOW_ATOL
             assert np.all(np.abs(F - F_ref) <= bound), (q, p)
@@ -191,7 +195,8 @@ def test_market_kernel_equals_the_softmax_reference(seed):
                               st.floats(1.0 - 1e-6, 1.0, exclude_max=True)),
                     min_size=1, max_size=20))
 def test_market_walras_law_property(p, xis):
-    # p . f(p, xi) = sum(p) for every sample, up to rounding, with no
+    # p . f(p, xi) = -sum(p) for every sample (f is minus the excess
+    # demand), up to rounding, with no
     # overflow, division by zero or invalid operation anywhere in the box
     # and on all of [-1, 1), the clipped end included (underflow to 0 is
     # allowed)
@@ -204,7 +209,7 @@ def test_market_walras_law_property(p, xis):
         F = P.market_kernel(p, xis)
         F_jac, J = P.market_kernel(p, xis, w)
     assert np.array_equal(F, F_jac) and np.all(np.isfinite(J))
-    assert np.allclose(F @ p, p.sum(), rtol=1e-14, atol=0.0)
+    assert np.allclose(F @ p, -p.sum(), rtol=1e-14, atol=0.0)
 
 
 def test_ces_clip_is_reported_once_per_solve():
@@ -554,8 +559,6 @@ def test_oracle_solve_reaches_tolerance_from_traced_answers(seed):
     assert np.linalg.norm(P.sin_expectation(x), np.inf) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="svi is traced as VI(C, -f): ROADMAP item 2")
 @pytest.mark.parametrize("n", [1, 2])
 def test_svi_trace_agrees_with_oracle(n):
     # the traced answer, not just the status: 0.05 is well above the sampling

@@ -328,30 +328,87 @@ def test_step_size_stall_counts_every_rejection(monkeypatch):
     assert result.counters["predictor_steps"] == 0
 
 
-def test_tangent_is_computed_once_per_accepted_point(monkeypatch):
-    # a rejected step retries from the same point with the same tangent:
-    # one tangent at the start and one after each accepted step
-    calls = []
+def test_tangent_is_computed_once_per_successful_corrector(monkeypatch):
+    # one tangent at the start and one at each corrected point, which the
+    # angle guard then accepts or rejects; a failed corrector retries from
+    # the same point with the same tangent, and the landing needs none
+    tangents, hits = [], []
 
     def counting_tangent(*args):
-        calls.append(1)
+        tangents.append(1)
         return tangent(*args)
 
+    def counting_correct(*args):
+        out = correct(*args)
+        hits.append(out is not None)
+        return out
+
     monkeypatch.setattr(tracer, "tangent", counting_tangent)
+    monkeypatch.setattr(tracer, "correct", counting_correct)
     result = trace(make_hm(N=100, L=4, seed=0))
     assert result.status == "converged"
     assert result.counters["rejected_steps"] > 0
-    assert len(calls) == result.counters["predictor_steps"] + 1
+    # the start's tangent stands for the landing's successful corrector
+    assert len(tangents) == sum(hits)
+    # at this seed the rejected step is the guard's: its candidate's
+    # tangent was computed and thrown away
+    assert len(tangents) == result.counters["predictor_steps"] + 2
+
+
+def test_steep_step_holds_t_at_the_predicted_level(monkeypatch):
+    # the linear path falls steeply in t: each step's corrector is bordered
+    # with e_t, so it lands on exactly t_pred, on the root at that level
+    calls = []
+
+    def recording_correct(hm, u_pred, t_pred, row, cfg, tol=None):
+        out = correct(hm, u_pred, t_pred, row, cfg, tol)
+        calls.append((t_pred, row, out))
+        return out
+
+    monkeypatch.setattr(tracer, "correct", recording_correct)
+    result = trace(linear_hm(), TraceConfig(h_max=0.05))
+    assert result.status == "converged"
+    steps = calls[:-1]  # the last call is the landing
+    assert len(steps) == result.counters["predictor_steps"] > 0
+    for t_pred, row, (u, t, *_) in steps:
+        assert np.array_equal(row, [0.0, 1.0])
+        assert t == t_pred
+        assert abs(u[0] - linear_root(t)) <= 1e-10
+    assert [p.t for p in result.path[1:-1]] == [t for t, _, _ in steps]
+
+
+def test_angle_guard_rejects_a_sharp_turn(monkeypatch):
+    # sample seed 973 of the sin-small benchmark: a corrected point where the
+    # tangent turns by more than 60 degrees is rejected and the step halved,
+    # and the path goes on to the SAA root
+    result = trace(make_hm(N=100, L=4, seed=973))
+    assert result.status == "converged"
+    assert result.counters["rejected_steps"] >= 1
+    assert result.saa_residual <= 1e-12
+    # without the guard the path turns back and climbs to t = 1
+    monkeypatch.setattr(tracer, "_MIN_COS", -1.0)
+    assert trace(make_hm(N=100, L=4, seed=973)).status == "returned-to-start"
+
+
+class LoopMap(HomotopyMap):
+    """h(x, t) = (x - 0.5)^2 + (t - 0.8)^2 - 0.29: a circle through the start
+    (0, 1) that stays above t = 0.26 and meets t = 1 again at x = 1."""
+
+    def evaluate(self, u, t):
+        x = u[0] - 0.5
+        s = t - 0.8
+        return np.array([x * x + s * s - 0.29]), np.array([[2.0 * x, 2.0 * s]])
 
 
 def test_path_back_at_the_start_level_ends_the_trace():
-    # sample seed 9483 of the sin-small benchmark: step 14 is clamped back
-    # to t = 1, from where the path would retrace itself at no sample cost
-    result = trace(make_hm(N=100, L=4, seed=9483))
+    # the path turns at the bottom of the loop and climbs back to t = 1,
+    # from where it would retrace itself at no sample cost
+    result = trace(LoopMap(blended=linear_hm().blended))
     assert result.status == "returned-to-start"
-    assert [p.t for p in result.path].index(1.0, 1) == len(result.path) - 1
-    assert result.counters["predictor_steps"] == 14
-    assert result.counters["sample_evals"] == 2475
+    ts = [p.t for p in result.path]
+    assert ts[-1] == 1.0 and max(ts[1:-1]) < 1.0
+    assert min(ts) == pytest.approx(0.8 - np.sqrt(0.29), abs=0.05)
+    assert result.x_star[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_path_leaving_the_guard_box_is_diverged():
