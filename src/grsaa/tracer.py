@@ -9,12 +9,19 @@ from one LU factorization that also gives LAPACK's 1-norm condition
 estimate; a near-singular or non-finite bordered matrix is refused:
 - the tangent borders with the previous tangent and solves for the
   right-hand side e_{d+1}; the first step borders with -e_t, where
-  e_t = (0, ..., 0, 1), so that t starts to decrease;
+  e_t = (0, ..., 0, 1), so that t starts to decrease.  The sign of the
+  bordered determinant, read off the same LU factors, is the path's
+  orientation at that point: det [J; tau] keeps one sign along a regular
+  path traced in one direction (Allgower & Georg, ch. 2);
 - the corrector borders with e_t on a steep step, whose tangent has a
   t-component below _HOLD_T_BELOW = -0.1: that holds t at the predicted
   level, where the map is one smooth blend of two sample averages, and
-  lets correct() halve a step that does not lower the residual.  Near a
-  fold, where t must move, it borders with the current tangent, which keeps
+  lets correct() halve a step that does not lower the residual.  A held
+  step whose corrected point has the opposite orientation lies past a
+  turning point of t or on another branch, where the tangent's border
+  would reverse the direction of travel; it is taken again with the
+  current tangent as border.  Near a fold, where t must move, the
+  corrector borders with the current tangent from the start, which keeps
   the iterate on the hyperplane through the predicted point;
 - the landing borders with e_t, which pins t at the map's terminal level:
   without constraints at t = 0, where the map coincides with the
@@ -28,7 +35,8 @@ is computed before the step is accepted.  If its cosine with the previous
 tangent is below _MIN_COS = 0.5, a turn of more than 60 degrees, or no
 tangent exists there, the step is rejected like a failed corrector: h is
 halved and the previous tangent kept.  An accepted point's tangent is the
-next step's, so an accepted step costs one tangent solve.
+next step's, so an accepted step costs one tangent solve, and a held step
+taken again on the tangent hyperplane two.
 """
 
 from __future__ import annotations
@@ -111,47 +119,58 @@ def _inf_norm(r: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(r)))
 
 
-def _bordered_solve(J: np.ndarray, row: np.ndarray,
-                    rhs: np.ndarray) -> np.ndarray | None:
+def _bordered_solve(J: np.ndarray, row: np.ndarray, rhs: np.ndarray,
+                    det_sign: bool = False):
     """Solution z of [J; row] z = rhs, or None when the bordered matrix A is
-    near-singular.
+    near-singular; with det_sign, the pair (z, sign of det A).
 
     A is filled in place in a Fortran-order buffer, which LAPACK factors
     without a copy.  One call (dgesv) factors A = LU and solves; the LU
     factors give dgecon's estimate rcond of 1 / cond_1(A) from ||A||_1
     (dlange, which sums each column in order).  The solution is refused when
     a pivot is exactly zero or rcond * _COND_LIMIT < 1; a NaN or inf entry
-    makes ||A||_1, and so rcond, NaN or 0 and is refused too.
+    makes ||A||_1, and so rcond, NaN or 0 and is refused too.  det A is the
+    product of U's diagonal times the sign of the row interchanges.
     """
     d = J.shape[0]
     A = np.empty((d + 1, d + 1), order="F")
     A[:d] = J
     A[d] = row
     norm1 = dlange("1", A)
-    lu, _, z, info = dgesv(A, rhs, overwrite_a=1)
+    lu, piv, z, info = dgesv(A, rhs, overwrite_a=1)
     if info != 0:
         return None
     rcond = dgecon(lu, norm1)[0]
     if not rcond * _COND_LIMIT >= 1.0:  # also false for a NaN rcond
         return None
-    return z
+    if not det_sign:
+        return z
+    # dgesv swapped row i with row piv[i] (0-based) before eliminating it
+    flips = (np.count_nonzero(piv != np.arange(d + 1))
+             + np.count_nonzero(np.diagonal(lu) < 0.0))
+    return z, -1 if flips % 2 else 1
 
 
-def tangent(J: np.ndarray, prev: np.ndarray) -> np.ndarray | None:
-    """Unit kernel vector of the d x (d+1) Jacobian with a positive inner
-    product with prev, or None where J bordered with prev is near-singular.
+def tangent(J: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Unit kernel vector tau of the d x (d+1) Jacobian with a positive inner
+    product with prev, and the orientation sign(det [J; tau]); None where J
+    bordered with prev is near-singular.
 
     The trace passes -e_t as prev on its first step, so that t starts to
-    decrease, and the previous tangent after that.
+    decrease, and the previous tangent after that.  With z = tau * ||z||,
+    Cramer's rule gives z = c / det [J; prev], c the cofactors of the
+    bordering row, and det [J; w] = w . c for every w; so det [J; tau] =
+    c . c / (||z|| det [J; prev]) has the sign of the matrix solved here.
     """
     J = np.asarray(J, dtype=float)
     rhs = np.zeros(J.shape[0] + 1)
     rhs[-1] = 1.0
     # J z = 0 and prev . z = 1 > 0, so z already points along prev
-    z = _bordered_solve(J, prev, rhs)
-    if z is None:
+    out = _bordered_solve(J, prev, rhs, det_sign=True)
+    if out is None:
         return None
-    return z / np.linalg.norm(z)
+    z, sign = out
+    return z / np.linalg.norm(z), sign
 
 
 def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
@@ -244,11 +263,13 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     e_t = np.zeros(d + 1)
     e_t[d] = 1.0
     h = cfg.h0
-    # the tangent at the last accepted point; a rejected step reuses it
-    tau = tangent(J, -e_t)
+    # the tangent and orientation at the last accepted point; a rejected
+    # step reuses them
+    first = tangent(J, -e_t)
+    if first is None:
+        return finish("stalled")
+    tau, orient = first
     while counters["predictor_steps"] + counters["rejected_steps"] < cfg.max_steps:
-        if tau is None:
-            return finish("stalled")
         t_pred = t + h * tau[-1]
         # at or past the terminal level, or a step that would cross it: land
         landing = t <= t_end or (t_pred <= t_end and tau[-1] < 0)
@@ -258,12 +279,17 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             hit = correct(hm, start, t_end, e_t, cfg, land_tol)
         else:
             # a steep step holds t at t_pred; near a fold t must move
-            row = e_t if tau[-1] < _HOLD_T_BELOW else tau
-            hit = correct(hm, u + h * tau[:d], t_pred, row, cfg)
-            if hit is not None:
-                tau_new = tangent(hit[4], tau)
-                if tau_new is None or tau_new @ tau < _MIN_COS:
-                    hit = None  # no tangent there, or it turns too far
+            u_pred = u + h * tau[:d]
+            held = tau[-1] < _HOLD_T_BELOW
+            hit = correct(hm, u_pred, t_pred, e_t if held else tau, cfg)
+            new = None if hit is None else tangent(hit[4], tau)
+            if held and new is not None and new[1] != orient:
+                # past a turning point of t or on another branch, where the
+                # tangent's border turns back: step on the tangent hyperplane
+                hit = correct(hm, u_pred, t_pred, tau, cfg)
+                new = None if hit is None else tangent(hit[4], tau)
+            if new is None or new[0] @ tau < _MIN_COS:
+                hit = None  # no tangent there, or it turns too far
         if hit is None:  # the step or the landing failed: shrink, retry
             counters["rejected_steps"] += 1
             h *= _SHRINK
@@ -283,7 +309,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
             return finish("diverged-out-of-box")
         if iters <= 3:
             h = min(_GROW * h, cfg.h_max)
-        tau = tau_new
+        tau, orient = new
     return finish("max_steps")
 
 

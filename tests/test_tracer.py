@@ -29,25 +29,36 @@ def minus_e_t(size):
 def test_tangent_hand_example():
     # kernel of [2 1] is span{(1, -2)}; normalized and oriented downward in
     # the last component
-    tau = tangent(np.array([[2.0, 1.0]]), prev=minus_e_t(2))
+    tau, _ = tangent(np.array([[2.0, 1.0]]), prev=minus_e_t(2))
     assert np.allclose(tau, np.array([1.0, -2.0]) / np.sqrt(5.0))
 
 
 def test_tangent_first_step_points_down_in_t():
     J = np.hstack([np.eye(3), np.zeros((3, 1))])
-    tau = tangent(J, prev=minus_e_t(4))
+    tau, _ = tangent(J, prev=minus_e_t(4))
     assert np.array_equal(tau, [0, 0, 0, -1])
 
 
 def test_tangent_follows_previous_orientation():
     J = np.array([[2.0, 1.0]])
     prev = np.array([-1.0, 2.0]) / np.sqrt(5.0)
-    tau = tangent(J, prev)
+    tau, _ = tangent(J, prev)
     assert float(tau @ prev) > 0
 
 
 def test_tangent_rejects_rank_deficiency():
     assert tangent(np.zeros((2, 3)), prev=minus_e_t(3)) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_tangent_orientation_is_the_sign_of_det_j_tau(d):
+    # the sign is read off dgesv's LU factors and pivots; numpy's det of
+    # [J; tau] is the reference
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        J = rng.standard_normal((d, d + 1))
+        tau, sign = tangent(J, rng.standard_normal(d + 1))
+        assert sign == np.sign(np.linalg.det(np.vstack([J, tau])))
 
 
 # -- bordered solve -----------------------------------------------------------
@@ -330,7 +341,7 @@ def test_step_size_stall_counts_every_rejection(monkeypatch):
 
 def test_tangent_is_computed_once_per_successful_corrector(monkeypatch):
     # one tangent at the start and one at each corrected point, which the
-    # angle guard then accepts or rejects; a failed corrector retries from
+    # step rules then accept or reject; a failed corrector retries from
     # the same point with the same tangent, and the landing needs none
     tangents, hits = [], []
 
@@ -350,9 +361,10 @@ def test_tangent_is_computed_once_per_successful_corrector(monkeypatch):
     assert result.counters["rejected_steps"] > 0
     # the start's tangent stands for the landing's successful corrector
     assert len(tangents) == sum(hits)
-    # at this seed the rejected step is the guard's: its candidate's
-    # tangent was computed and thrown away
-    assert len(tangents) == result.counters["predictor_steps"] + 2
+    # at this seed the rejected step is the angle guard's, and one held
+    # step is taken again on the tangent hyperplane: both candidates'
+    # tangents were computed and thrown away
+    assert len(tangents) == result.counters["predictor_steps"] + 3
 
 
 def test_steep_step_holds_t_at_the_predicted_level(monkeypatch):
@@ -377,17 +389,46 @@ def test_steep_step_holds_t_at_the_predicted_level(monkeypatch):
     assert [p.t for p in result.path[1:-1]] == [t for t, _, _ in steps]
 
 
+@pytest.mark.parametrize("n, N, L, seed", [(3, 100, 4, 973), (1, 20, 8, 88)])
+def test_reversed_held_step_is_taken_again_on_the_hyperplane(monkeypatch,
+                                                             n, N, L, seed):
+    # at these sample seeds a held step lands past a turning point of t,
+    # where the tangent's border would send the path back to t = 1; the
+    # step is retaken from the same prediction with the tangent as border,
+    # and the path goes on to the SAA root
+    calls = []
+
+    def recording_correct(hm, u_pred, t_pred, row, cfg, tol=None):
+        calls.append((u_pred, t_pred, row[-1] == 1.0 and not np.any(row[:-1])))
+        return correct(hm, u_pred, t_pred, row, cfg, tol)
+
+    monkeypatch.setattr(tracer, "correct", recording_correct)
+    result = trace(make_hm(n=n, N=N, L=L, seed=seed))
+    assert result.status == "converged"
+    assert result.saa_residual <= 1e-12
+    retaken = [a for a, b in zip(calls, calls[1:])
+               if a[2] and not b[2] and a[1] == b[1]
+               and np.array_equal(a[0], b[0])]
+    assert retaken and all(t_pred < 1.0 for _, t_pred, _ in retaken)
+
+
 def test_angle_guard_rejects_a_sharp_turn(monkeypatch):
-    # sample seed 973 of the sin-small benchmark: a corrected point where the
+    # sample seed 5546 of the sin-small benchmark: a corrected point whose
     # tangent turns by more than 60 degrees is rejected and the step halved,
     # and the path goes on to the SAA root
-    result = trace(make_hm(N=100, L=4, seed=973))
+    turns = []
+
+    def recording_tangent(J, prev):
+        out = tangent(J, prev)
+        turns.append(float(out[0] @ prev))
+        return out
+
+    monkeypatch.setattr(tracer, "tangent", recording_tangent)
+    result = trace(make_hm(N=100, L=4, seed=5546))
     assert result.status == "converged"
-    assert result.counters["rejected_steps"] >= 1
     assert result.saa_residual <= 1e-12
-    # without the guard the path turns back and climbs to t = 1
-    monkeypatch.setattr(tracer, "_MIN_COS", -1.0)
-    assert trace(make_hm(N=100, L=4, seed=973)).status == "returned-to-start"
+    assert result.counters["rejected_steps"] >= 1
+    assert min(turns) < tracer._MIN_COS
 
 
 class LoopMap(HomotopyMap):
