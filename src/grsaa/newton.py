@@ -1,9 +1,9 @@
 """The error raised when the analytic-expectation oracle
-(problems.oracle_solve) finds no root.  The tracer lands with its own
-corrector."""
+(problems.oracle_solve) returns a root whose residual misses its tolerance.
+The tracer lands with its own corrector."""
 
 __all__ = ["NewtonFailure"]
 
 
 class NewtonFailure(RuntimeError):
-    """The oracle's root finder did not reach the requested tolerance."""
+    """The oracle's root did not reach the requested tolerance."""

@@ -3,8 +3,8 @@ box-constrained stochastic variational inequality.
 
 Each problem supplies one batched per-sample kernel, kernel(x, xis, w=None,
 tab=None), a domain box with an interior reference point, and (where one
-exists) an independent ground-truth oracle built on the analytic
-expectation of the residual.  With w None the kernel returns F, the rows
+exists) an independent ground-truth oracle, a start-free census of the roots
+of the residual's analytic expectation.  With w None the kernel returns F, the rows
 f(x, xi_k); with weights w it returns (F, sum_k w_k J_k), the w-weighted sum
 of the analytic x-Jacobians from the same pass, storing no per-sample
 Jacobian.  The kernel facts, stated here once:
@@ -42,8 +42,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import root
+from scipy.optimize import brentq
 
 from .homotopy import HomotopyMap
 from .newton import NewtonFailure
@@ -54,10 +53,9 @@ from .schedule import NodeSchedule
 __all__ = [
     "ProblemInstance",
     "market_kernel", "market_instance", "market_verify",
-    "sin_kernel", "sin_instance", "sin_expectation", "sin_expectation_jac",
-    "svi_kernel", "svi_instance",
-    "svi_expectation", "svi_expectation_jac",
-    "oracle_solve", "build_homotopy", "get_instance",
+    "sin_kernel", "sin_instance", "sin_expectation",
+    "svi_kernel", "svi_instance", "svi_expectation",
+    "expectation_roots", "oracle_solve", "build_homotopy", "get_instance",
 ]
 
 # substitution parameters within this distance of 1 are clipped: the CES
@@ -242,16 +240,7 @@ def sin_kernel(x: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
 
 def sin_expectation(x: np.ndarray) -> np.ndarray:
     """E_xi f(x, xi) for xi ~ uniform[-1, 1]: x_i - 5 sin(1) sin(i sum(x))."""
-    x = np.asarray(x, dtype=float)
-    i_arr = np.arange(1, x.size + 1)
-    return x - 5.0 * math.sin(1.0) * np.sin(i_arr * x.sum())
-
-
-def sin_expectation_jac(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    i_arr = np.arange(1, x.size + 1)
-    coef = -5.0 * math.sin(1.0) * i_arr * np.cos(i_arr * x.sum())
-    return _eye_plus_rank1(coef, 1.0)
+    return np.asarray(x, dtype=float) - _mean("sin", np.sum(x), np.size(x))
 
 
 def sin_instance(n: int) -> ProblemInstance:
@@ -280,30 +269,9 @@ def svi_kernel(x: np.ndarray, xis: np.ndarray, w: np.ndarray | None = None,
     return F if w is None else (F, J)
 
 
-def _exp_cos_mean(a: float) -> float:
-    """(1/2) integral_{-1}^{1} exp(cos(a + xi)) dxi by adaptive quadrature."""
-    val, _ = quad(lambda s: math.exp(math.cos(a + s)), -1.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-13)
-    return 0.5 * val
-
-
-def _exp_cos_mean_deriv(a: float) -> float:
-    val, _ = quad(lambda s: -math.sin(a + s) * math.exp(math.cos(a + s)),
-                  -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-    return 0.5 * val
-
-
 def svi_expectation(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    s = x.sum()
-    return x - np.array([_exp_cos_mean(i * s) for i in range(1, x.size + 1)])
-
-
-def svi_expectation_jac(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    s = x.sum()
-    coef = [-i * _exp_cos_mean_deriv(i * s) for i in range(1, x.size + 1)]
-    return _eye_plus_rank1(np.array(coef), 1.0)
+    """E_xi f(x, xi) for xi ~ uniform[-1, 1]: x_i - E exp(cos(i sum(x) + xi))."""
+    return np.asarray(x, dtype=float) - _mean("svi", np.sum(x), np.size(x))
 
 
 def svi_instance(n: int) -> ProblemInstance:
@@ -322,40 +290,71 @@ def svi_instance(n: int) -> ProblemInstance:
 
 
 # ---------------------------------------------------------------------------
-# ground-truth oracles
+# ground-truth oracle: a census of the expectation system's roots
 # ---------------------------------------------------------------------------
 
-# MINPACK's hybr stops when two iterates agree to this relative accuracy;
-# scipy's default, 1.49e-8, can stop above the 1e-12 residual asked for
-_ORACLE_XTOL = 1e-13
+# the 16-point Gauss-Legendre rule on [-1, 1]: for the mean of exp(cos(a + xi))
+# over xi it matches the Bessel series to 5e-15 at |a| <= 200
+_GL_XI, _GL_W = np.polynomial.legendre.leggauss(16)
+_SIN_C = 5.0 * math.sin(1.0)
+# per problem, a bound M with |G_i(s)| <= M and |G_i'(s)| <= i M
+_BOUND = {"sin": _SIN_C, "svi": math.e}
+
+
+def _mean(name: str, s, n: int) -> np.ndarray:
+    """G_i(s) = E g(i s, xi), i = 1..n, for each entry of s, with f_i(x, xi) =
+    x_i - g(i sum(x), xi): sin's closed form, svi's Gauss-Legendre rule."""
+    a = np.multiply.outer(s, np.arange(1.0, n + 1))
+    if name == "sin":
+        return _SIN_C * np.sin(a)
+    return np.exp(np.cos(np.add.outer(a, _GL_XI))) @ (0.5 * _GL_W)
+
+
+def expectation_roots(inst: ProblemInstance) -> np.ndarray:
+    """Every root x of E f(x) = 0, one row each, in increasing order of sum(x).
+
+    Every root is x = G(s), for s a root of phi(s) = s - sum_i G_i(s) in
+    [-n M, n M], where |phi'| <= lip = 1 + M n (n + 1) / 2.  A cell [a, b]
+    holds no root when |phi(a)| + |phi(b)| > lip (b - a + 1e-13) (Lipschitz
+    exclusion: Moore, Kearfott & Cloud, Introduction to Interval Analysis,
+    SIAM 2009; the 1e-13 covers phi's rounding, about eps lip |s|); the other
+    cells are halved until they are 1e-13 wide.  Each run of adjacent cells
+    left holds one root, polished by brentq where phi changes sign across it.
+    """
+    if inst.name not in _BOUND:
+        raise ValueError(f"no analytic-expectation oracle for problem {inst.name!r}")
+    n, M = inst.system.n, _BOUND[inst.name]
+    lip = 1.0 + M * n * (n + 1) / 2.0
+
+    def phi(s):
+        return s - _mean(inst.name, s, n).sum(axis=-1)
+
+    lo, h, j = -n * M, 2.0 * n * M, np.array([0])  # cells lo + [j, j + 1] h
+    while h > 1e-13:
+        h /= 2.0
+        j = np.sort(np.concatenate((2 * j, 2 * j + 1)))
+        a = lo + j * h
+        j = j[np.abs(phi(np.stack((a, a + h)))).sum(axis=0) <= lip * (h + 1e-13)]
+    # one root per run of adjacent cells; brentq, xtol ~ 0, stops at 4 eps |s|
+    cut = np.flatnonzero(np.diff(j) > 1) + 1
+    ends = lo + np.stack((j[np.r_[0, cut]], j[np.r_[cut - 1, -1]] + 1), axis=1) * h
+    s = np.array([brentq(phi, a, b, xtol=1e-300) if phi(a) * phi(b) <= 0.0
+                  else 0.5 * (a + b) for a, b in ends])
+    # x = G(s) + phi(s) / n sums to s, so its residual does not carry G' phi(s)
+    return _mean(inst.name, s, n) + (phi(s) / n)[:, None]
 
 
 def oracle_solve(inst: ProblemInstance, start: np.ndarray,
                  tol: float = 1e-12) -> np.ndarray:
-    """Root of the analytic-expectation system from `start`, by MINPACK's
-    Powell hybrid method (scipy.optimize.root, method "hybr") with the
-    analytic expectation Jacobian.
-
-    Independent of the homotopy machinery: sin uses the closed-form
-    expectation, svi a quadrature expectation.  The market problem has no
-    analytic equilibrium oracle here; use market_verify instead.  The root
-    is accepted on its residual, ||E f(x)||_inf <= tol; otherwise, a NaN
-    residual included, NewtonFailure is raised, which callers must surface
-    as inconclusive rather than passed.
-    """
-    if inst.name == "sin":
-        F, J = sin_expectation, sin_expectation_jac
-    elif inst.name == "svi":
-        F, J = svi_expectation, svi_expectation_jac
-    else:
-        raise ValueError(f"no analytic-expectation oracle for problem {inst.name!r}")
-    sol = root(F, np.asarray(start, dtype=float), jac=J, method="hybr",
-               options={"xtol": _ORACLE_XTOL})
-    res = float(np.linalg.norm(sol.fun, np.inf))
+    """The root of expectation_roots nearest `start` (market has none: use
+    market_verify), accepted when ||E f(x)||_inf <= tol; otherwise, a NaN
+    residual included, NewtonFailure is raised: callers report inconclusive."""
+    roots = expectation_roots(inst)
+    x = min(roots, key=lambda r: np.linalg.norm(r - start))
+    res = float(np.linalg.norm(x - _mean(inst.name, x.sum(), x.size), np.inf))
     if not res <= tol:
-        raise NewtonFailure(f"hybr stopped at x={sol.x}, |E f|_inf={res:.3e}: "
-                            f"{sol.message}")
-    return sol.x
+        raise NewtonFailure(f"census root x={x} has |E f|_inf={res:.3e}")
+    return x
 
 
 def get_instance(name: str, n: int = 3) -> ProblemInstance:

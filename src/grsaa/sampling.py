@@ -2,8 +2,8 @@
 
 Every problem has one random parameter, a scalar xi ~ uniform[-1, 1], stored
 one per row of an (N, 1) array.  The kernels in `problems` read that column,
-and the expectation oracles (sin's 5 sin(1) factor, svi's quadrature over
-[-1, 1] with weight 1/2) hold for this law alone.
+and the expectation oracles (sin's 5 sin(1) factor, svi's Gauss-Legendre
+rule over [-1, 1] with weight 1/2) hold for this law alone.
 
 The sample stream is produced by numpy's PCG64 generator: one generator per
 draw, a single uniform block of shape (N, 1) consumed in row order.  This

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import root
 from scipy.special import iv
 
 from grsaa.newton import NewtonFailure
@@ -402,18 +403,6 @@ def test_sin_jacobian_matches_finite_differences():
                             rtol=1e-5, atol=1e-6)
 
 
-def test_sin_expectation_jac_matches_finite_differences():
-    x = np.array([0.4, -0.1, 0.2])
-    J = P.sin_expectation_jac(x)
-    h = 1e-7
-    for j in range(3):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fd = (P.sin_expectation(xp) - P.sin_expectation(xm)) / (2 * h)
-        assert np.allclose(J[:, j], fd, rtol=1e-6, atol=1e-7)
-
-
 def test_sin_monte_carlo_agrees_with_expectation():
     inst = P.sin_instance(2)
     s = draw_samples(10 ** 5, seed=9)
@@ -542,35 +531,71 @@ def test_oracle_solve_svi_root():
     assert np.linalg.norm(P.svi_expectation(x), np.inf) <= 1e-12
 
 
-def test_oracle_solve_raises_where_it_finds_no_root():
-    with pytest.raises(NewtonFailure, match="hybr stopped"):
-        P.oracle_solve(P.svi_instance(2), np.zeros(2))
+def test_oracle_solve_is_start_free():
+    # svi n = 2 has one expectation root, and every start finds it: the
+    # instance's own x0, a box corner and a traced answer included
+    inst = P.svi_instance(2)
+    samples = draw_samples(1000, seed=0)
+    traced = trace(P.build_homotopy(inst, samples,
+                                    make_schedule("uniform", 1000, 10))).x_star
+    for start in (np.zeros(2), np.ones(2), np.array([-10.0, 10.0]), traced):
+        x = P.oracle_solve(inst, start)
+        assert np.allclose(x, [1.1386, 0.4354], atol=1e-4)
+
+
+def test_oracle_solve_raises_where_it_finds_no_root(monkeypatch):
+    # the residual gate: a census row that is not a root, a NaN row included
+    for fake_root in (1.0, np.nan):
+        monkeypatch.setattr(P, "expectation_roots",
+                            lambda inst: np.full((1, inst.system.n), fake_root))
+        with pytest.raises(NewtonFailure, match="census root"):
+            P.oracle_solve(P.svi_instance(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("name, n, count", [
+    ("sin", 3, 11), ("sin", 5, 15), ("sin", 8, 35), ("sin", 20, 87),
+    ("svi", 1, 1), ("svi", 2, 1), ("svi", 3, 3), ("svi", 8, 5)])
+def test_expectation_roots_census(name, n, count):
+    # counts checked against the sign changes of phi on a 2e7-point grid;
+    # at sin n = 20 one root has slope 840 against the bound lip = 884, so a
+    # cell test without slack for rounding drops it
+    roots = P.expectation_roots(P.get_instance(name, n))
+    assert roots.shape == (count, n)
+    expectation = P.sin_expectation if name == "sin" else P.svi_expectation
+    for x in roots:
+        assert np.linalg.norm(expectation(x), np.inf) <= 1e-12
+    assert np.all(np.diff(roots.sum(axis=1)) > 0)  # distinct, in order of s
+    if name == "sin":  # x = 0 is a root at every n
+        assert np.any(np.all(roots == 0.0, axis=1))
 
 
 @pytest.mark.parametrize("seed", [8, 9, 11, 13, 15])
 def test_oracle_solve_reaches_tolerance_from_traced_answers(seed):
-    # criterion 3's N = 100 solves at these seeds: with scipy's default xtol
-    # (1.49e-8) hybr stops at residuals of 2.7e-12 to 6.4e-11
+    # criterion 3's N = 100 solves at these seeds: the census root meets the
+    # 1e-12 residual, and MINPACK's hybr, with its own finite-difference
+    # Jacobian, reaches the same root from x*
     N = 100
     inst = P.sin_instance(3)
     samples = draw_samples(N, seed=seed)
     result = trace(P.build_homotopy(inst, samples, make_schedule("uniform", N, 4)))
     x = P.oracle_solve(inst, result.x_star)
     assert np.linalg.norm(P.sin_expectation(x), np.inf) <= 1e-12
+    sol = root(P.sin_expectation, result.x_star, method="hybr")
+    assert sol.success
+    assert np.linalg.norm(sol.x - x, np.inf) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_svi_trace_agrees_with_oracle(n):
     # the traced answer, not just the status: 0.05 is well above the sampling
-    # error at N = 10^4.  The oracle starts from ones, because from zeros at
-    # n = 2 it stops at a residual of 0.135 and raises NewtonFailure
+    # error at N = 10^4
     inst = P.svi_instance(n)
     N, L = 10 ** 4, 1000
     samples = draw_samples(N, seed=0)
     hm = P.build_homotopy(inst, samples, make_schedule("uniform", N, L))
     result = trace(hm)
     assert result.status == "converged"
-    oracle = P.oracle_solve(inst, np.ones(n))
+    oracle = P.oracle_solve(inst, inst.system.x0)
     assert np.linalg.norm(result.x_star - oracle, np.inf) <= 0.05
 
 
