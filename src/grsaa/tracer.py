@@ -30,6 +30,16 @@ estimate; a near-singular or non-finite bordered matrix is refused:
   differentiability at t = 0 on the active set.  It starts from the
   tangent's extrapolation to t_end, u + (t_end - t) / tau_t * tau_u.
 
+A path step is corrected only as far as its map is accurate: at level t the
+map averages at most q_l samples, the sample size of the segment holding t,
+so it is known to about sigma / sqrt(q_l), and the corrector stops at
+max(_CORRECTOR_TOL, _PATH_TOL_C / sqrt(q_l)) at the predicted level, a held
+step taken again too.  Retrospective approximation solves each sample-path
+problem to a tolerance of this order (Pasupathy, Oper. Res. 2010); the
+corrector only has to keep the next step in its basin (Allgower & Georg,
+ch. 6).  The landing keeps its own tolerance: _POLISH_TOL at t = 0 without
+constraints, _CORRECTOR_TOL at t_end with them.
+
 Step control (Allgower & Georg, ch. 6.1): the tangent at a corrected point
 is computed before the step is accepted.  If its cosine with the previous
 tangent is below _MIN_COS = 0.5, a turn of more than 60 degrees, or no
@@ -57,6 +67,7 @@ _COND_LIMIT = 1e12
 _POLISH_TOL = 1e-12
 # step control; TraceConfig keeps only the settings that tests vary
 _CORRECTOR_TOL = 1e-10
+_PATH_TOL_C = 3e-3  # a path step is corrected to max(_CORRECTOR_TOL, c/sqrt(q_l))
 _H_MIN = 1e-10
 _GROW = 1.5
 _SHRINK = 0.5
@@ -176,7 +187,9 @@ def tangent(J: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, int] | None:
 def correct(hm: HomotopyMap, u_pred: np.ndarray, t_pred: float,
             tau: np.ndarray, cfg: TraceConfig, tol: float | None = None):
     """Newton iteration on {h = 0, tau . (v - v_pred) = 0} to ||h||_inf <= tol
-    (default _CORRECTOR_TOL).
+    (default _CORRECTOR_TOL).  trace() passes the path tolerance
+    max(_CORRECTOR_TOL, _PATH_TOL_C / sqrt(q_l)) on a path step and the
+    landing tolerance, _POLISH_TOL or _CORRECTOR_TOL, on the landing.
 
     Returns (u, t, iterations, residual, J) on success, J being the full
     (u, t)-Jacobian at the accepted point, or None on rejection (non-
@@ -238,6 +251,7 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     guard_hi = sys_.box_hi + half
 
     evals0, jacs0 = bm.eval_counter, bm.jac_counter
+    schedule = bm.schedule
 
     def point(u, t, step_len, iters, res):
         return PathPoint(u=u.copy(), t=t, step_len=step_len,
@@ -250,12 +264,17 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
     r, J = hm.evaluate(u, t)
     path = [point(u, t, 0.0, 0, _inf_norm(r))]
     counters = {"predictor_steps": 0, "rejected_steps": 0,
-                "corrector_iters_total": 0, "sample_evals": 0, "jac_evals": 0}
+                "corrector_iters_total": 0, "sample_evals": 0, "jac_evals": 0,
+                "sample_evals_path": 0, "sample_evals_landing": 0,
+                "jac_evals_path": 0, "jac_evals_landing": 0}
 
     def finish(status):
-        # counted before the full-sample diagnostic pass, which is not solver work
-        counters["sample_evals"] = bm.eval_counter - evals0
-        counters["jac_evals"] = bm.jac_counter - jacs0
+        # counted before the full-sample diagnostic pass, which is not solver
+        # work; the path's share is what the landing calls did not spend
+        for key, total in (("sample_evals", bm.eval_counter - evals0),
+                           ("jac_evals", bm.jac_counter - jacs0)):
+            counters[key] = total
+            counters[key + "_path"] = total - counters[key + "_landing"]
         saa = _inf_norm(bm.sample_average(bm.L, path[-1].u[:n]))
         return TraceResult(status=status, saa_residual=saa, path=path,
                            counters=counters, n=n)
@@ -276,17 +295,24 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         if landing:
             # from the tangent's extrapolation to t_end where it descends
             start = u + (t_end - t) / tau[-1] * tau[:d] if tau[-1] < 0 else u
+            evals, jacs = bm.eval_counter, bm.jac_counter
             hit = correct(hm, start, t_end, e_t, cfg, land_tol)
+            counters["sample_evals_landing"] += bm.eval_counter - evals
+            counters["jac_evals_landing"] += bm.jac_counter - jacs
         else:
             # a steep step holds t at t_pred; near a fold t must move
             u_pred = u + h * tau[:d]
             held = tau[-1] < _HOLD_T_BELOW
-            hit = correct(hm, u_pred, t_pred, e_t if held else tau, cfg)
+            # the map at t_pred averages at most q_l samples, so it is
+            # accurate only to about sigma / sqrt(q_l)
+            q = schedule.q[schedule.blend(min(max(t_pred, 0.0), 1.0))[0]]
+            tol = max(_CORRECTOR_TOL, _PATH_TOL_C / math.sqrt(q))
+            hit = correct(hm, u_pred, t_pred, e_t if held else tau, cfg, tol)
             new = None if hit is None else tangent(hit[4], tau)
             if held and new is not None and new[1] != orient:
                 # past a turning point of t or on another branch, where the
                 # tangent's border turns back: step on the tangent hyperplane
-                hit = correct(hm, u_pred, t_pred, tau, cfg)
+                hit = correct(hm, u_pred, t_pred, tau, cfg, tol)
                 new = None if hit is None else tangent(hit[4], tau)
             if new is None or new[0] @ tau < _MIN_COS:
                 hit = None  # no tangent there, or it turns too far

@@ -17,6 +17,15 @@ def make_hm(problem="sin", n=3, N=1500, L=4, seed=0, schedule="uniform"):
     return P.build_homotopy(inst, samples, make_schedule(schedule, N, L))
 
 
+def path_tol(hm, t):
+    """The path corrector's tolerance at level t, clamped to [0, 1]:
+    max(_CORRECTOR_TOL, c / sqrt(q_l)), q_l the sample size of the segment
+    holding t."""
+    sched = hm.blended.schedule
+    q = sched.q[sched.blend(min(max(t, 0.0), 1.0))[0]]
+    return max(tracer._CORRECTOR_TOL, tracer._PATH_TOL_C / np.sqrt(q))
+
+
 # -- tangent -----------------------------------------------------------------
 
 def minus_e_t(size):
@@ -175,6 +184,12 @@ def linear_root(t):
     return 2.0 * w / (w + t)
 
 
+def linear_h(x, t):
+    """linear_hm's map in closed form, root 2."""
+    th = np.sin((1.0 - t) * np.pi / 2.0) ** 2
+    return (1.0 - t) * th * (x - 2.0) + t * x
+
+
 def test_corrector_lands_on_known_root():
     hm = linear_hm()
     t = 0.4
@@ -222,11 +237,16 @@ def test_landing_row_halves_steps_where_newton_diverges():
 
 
 def test_trace_linear_homotopy_full_path():
-    result = trace(linear_hm(), TraceConfig(h_max=0.05))
+    # the map holds one sample, so the path is corrected to c / sqrt(1); the
+    # landing at t = 0, where the map is the full-sample one, to _POLISH_TOL
+    hm = linear_hm()
+    result = trace(hm, TraceConfig(h_max=0.05))
     assert result.status == "converged"
-    assert result.x_star[0] == pytest.approx(2.0, abs=1e-10)
-    for p in result.path[1:]:
-        assert abs(p.u[0] - linear_root(p.t)) <= 1e-8
+    for p in result.path[1:-1]:
+        assert abs(linear_h(p.u[0], p.t)) <= path_tol(hm, p.t)
+    assert result.t_star == 0.0
+    assert abs(linear_h(result.x_star[0], 0.0)) <= tracer._POLISH_TOL
+    assert result.x_star[0] == pytest.approx(2.0, abs=tracer._POLISH_TOL)
 
 
 # -- full traces -------------------------------------------------------------
@@ -250,8 +270,14 @@ def test_trace_starts_exactly_at_the_known_root():
 
 
 def test_path_residuals_within_tolerance():
-    result = trace(make_hm())
-    assert all(p.residual <= tracer._CORRECTOR_TOL for p in result.path)
+    # every path point is corrected to the accuracy of the sample average
+    # at its level, the landing to _POLISH_TOL
+    hm = make_hm()
+    result = trace(hm)
+    assert result.status == "converged"
+    assert all(p.residual <= path_tol(hm, p.t) for p in result.path[:-1])
+    assert any(p.residual > tracer._CORRECTOR_TOL for p in result.path[:-1])
+    assert result.final_residual <= tracer._POLISH_TOL
     ts = [p.t for p in result.path]
     assert ts[0] == 1.0 and min(ts) >= 0.0
 
@@ -369,7 +395,8 @@ def test_tangent_is_computed_once_per_successful_corrector(monkeypatch):
 
 def test_steep_step_holds_t_at_the_predicted_level(monkeypatch):
     # the linear path falls steeply in t: each step's corrector is bordered
-    # with e_t, so it lands on exactly t_pred, on the root at that level
+    # with e_t, so it lands on exactly t_pred, at that level's root to the
+    # path tolerance
     calls = []
 
     def recording_correct(hm, u_pred, t_pred, row, cfg, tol=None):
@@ -378,14 +405,15 @@ def test_steep_step_holds_t_at_the_predicted_level(monkeypatch):
         return out
 
     monkeypatch.setattr(tracer, "correct", recording_correct)
-    result = trace(linear_hm(), TraceConfig(h_max=0.05))
+    hm = linear_hm()
+    result = trace(hm, TraceConfig(h_max=0.05))
     assert result.status == "converged"
     steps = calls[:-1]  # the last call is the landing
     assert len(steps) == result.counters["predictor_steps"] > 0
     for t_pred, row, (u, t, *_) in steps:
         assert np.array_equal(row, [0.0, 1.0])
         assert t == t_pred
-        assert abs(u[0] - linear_root(t)) <= 1e-10
+        assert abs(linear_h(u[0], t)) <= path_tol(hm, t)
     assert [p.t for p in result.path[1:-1]] == [t for t, _, _ in steps]
 
 
@@ -431,6 +459,65 @@ def test_angle_guard_rejects_a_sharp_turn(monkeypatch):
     assert min(turns) < tracer._MIN_COS
 
 
+@pytest.mark.parametrize("problem, n, N, L, seed", [
+    ("sin", 3, 1500, 4, 0),
+    ("sin", 1, 20, 8, 88),  # a held step is taken again on the hyperplane
+    ("svi", 1, 500, 10, 0),  # constrained: the landing is at t_end > 0
+])
+def test_corrector_tolerance_follows_the_sample_size(monkeypatch, problem, n,
+                                                     N, L, seed):
+    # a path step is corrected to max(_CORRECTOR_TOL, c / sqrt(q_l)) at its
+    # predicted level, a retaken step too; the landing keeps _POLISH_TOL
+    # without constraints and _CORRECTOR_TOL with them
+    calls = []
+
+    def recording_correct(hm, u_pred, t_pred, row, cfg, tol=None):
+        calls.append((t_pred, tol))
+        return correct(hm, u_pred, t_pred, row, cfg, tol)
+
+    monkeypatch.setattr(tracer, "correct", recording_correct)
+    hm = make_hm(problem, n, N=N, L=L, seed=seed)
+    result = trace(hm)
+    assert result.status == "converged"
+    landing = [tol for t_pred, tol in calls if t_pred == hm.t_end]
+    steps = [(t_pred, tol) for t_pred, tol in calls if t_pred != hm.t_end]
+    assert landing and len(steps) >= result.counters["predictor_steps"] > 0
+    assert all(t_pred > hm.t_end for t_pred, _ in steps)
+    assert all(tol == path_tol(hm, t_pred) for t_pred, tol in steps)
+    land_tol = tracer._POLISH_TOL if hm.M == 0 else tracer._CORRECTOR_TOL
+    assert landing == [land_tol] * len(landing)
+    assert result.final_residual <= land_tol
+
+
+def test_sample_evaluations_are_split_by_phase(monkeypatch):
+    # the landing's share is what its correct() calls spend, failed ones
+    # included; the path's is the rest, the start's pass at t = 1 among it
+    spent = []
+
+    def measuring_correct(hm, u_pred, t_pred, row, cfg, tol=None):
+        bm = hm.blended
+        before = bm.eval_counter, bm.jac_counter
+        out = correct(hm, u_pred, t_pred, row, cfg, tol)
+        if t_pred == hm.t_end:
+            spent.append((bm.eval_counter - before[0],
+                          bm.jac_counter - before[1]))
+        return out
+
+    monkeypatch.setattr(tracer, "correct", measuring_correct)
+    # a 110-long first step makes the first landing trials fail
+    hm = make_hm("market", 3, N=500, L=5)
+    result = trace(hm, TraceConfig(h0=110, h_max=110))
+    assert result.status == "converged"
+    c = result.counters
+    assert len(spent) >= 2  # a failed landing trial, then the landing
+    for key, column in (("sample_evals", 0), ("jac_evals", 1)):
+        assert c[key + "_landing"] == sum(s[column] for s in spent) > 0
+        assert c[key + "_path"] + c[key + "_landing"] == c[key]
+        assert c[key + "_path"] > 0
+    # the landing runs at the full sample size
+    assert c["sample_evals_landing"] % hm.blended.schedule.N == 0
+
+
 class LoopMap(HomotopyMap):
     """h(x, t) = (x - 0.5)^2 + (t - 0.8)^2 - 0.29: a circle through the start
     (0, 1) that stays above t = 0.26 and meets t = 1 again at x = 1."""
@@ -444,12 +531,18 @@ class LoopMap(HomotopyMap):
 def test_path_back_at_the_start_level_ends_the_trace():
     # the path turns at the bottom of the loop and climbs back to t = 1,
     # from where it would retrace itself at no sample cost
-    result = trace(LoopMap(blended=linear_hm().blended))
+    hm = LoopMap(blended=linear_hm().blended)
+    result = trace(hm)
     assert result.status == "returned-to-start"
     ts = [p.t for p in result.path]
     assert ts[-1] == 1.0 and max(ts[1:-1]) < 1.0
     assert min(ts) == pytest.approx(0.8 - np.sqrt(0.29), abs=0.05)
-    assert result.x_star[0] == pytest.approx(1.0, abs=1e-9)
+    # no landing: the last point is a path point, on the circle at t = 1
+    # (x = 1, where |dh/dx| = 1) to the path tolerance
+    for p in result.path:
+        h = (p.u[0] - 0.5) ** 2 + (p.t - 0.8) ** 2 - 0.29
+        assert abs(h) <= path_tol(hm, p.t)
+    assert result.x_star[0] == pytest.approx(1.0, abs=2 * path_tol(hm, 1.0))
 
 
 def test_path_leaving_the_guard_box_is_diverged():
