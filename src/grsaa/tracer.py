@@ -28,7 +28,10 @@ estimate; a near-singular or non-finite bordered matrix is refused:
   full-sample SAA and is polished to _POLISH_TOL; with constraints at a small
   positive t_end, because the complementarity transform loses
   differentiability at t = 0 on the active set.  It starts from the
-  tangent's extrapolation to t_end, u + (t_end - t) / tau_t * tau_u.
+  tangent's extrapolation to t_end, u + (t_end - t) / tau_t * tau_u, which
+  does not depend on h; so after a failed landing h is cut to at most half
+  the step that reaches t_end, and the next trial is a path step halfway
+  there instead of the same landing again.
 
 A path step is corrected only as far as its map is accurate: at level t the
 map averages at most q_l samples, the sample size of the segment holding t,
@@ -40,13 +43,17 @@ corrector only has to keep the next step in its basin (Allgower & Georg,
 ch. 6).  The landing keeps its own tolerance: _POLISH_TOL at t = 0 without
 constraints, _CORRECTOR_TOL at t_end with them.
 
-Step control (Allgower & Georg, ch. 6.1): the tangent at a corrected point
-is computed before the step is accepted.  If its cosine with the previous
-tangent is below _MIN_COS = 0.5, a turn of more than 60 degrees, or no
-tangent exists there, the step is rejected like a failed corrector: h is
-halved and the previous tangent kept.  An accepted point's tangent is the
-next step's, so an accepted step costs one tangent solve, and a held step
-taken again on the tangent hyperplane two.
+Step control (Allgower & Georg, ch. 6.1): h grows by _GROW after a step with
+at most 3 corrector iterations, up to TraceConfig.h_max = 1, and shrinks by
+_SHRINK on a rejection.  The tangent is a unit vector in (u, t), so a step
+of length h moves t by at most h: the cap is the length of the t-interval,
+and one step may span it.  The tangent at a corrected point is computed
+before the step is accepted.  If its cosine with the previous tangent is
+below _MIN_COS = 0.5, a turn of more than 60 degrees, or no tangent exists
+there, the step is rejected like a failed corrector: h is halved and the
+previous tangent kept.  An accepted point's tangent is the next step's, so
+an accepted step costs one tangent solve, and a held step taken again on
+the tangent hyperplane two.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ _MIN_COS = 0.5  # a step whose tangent turns more than 60 degrees is rejected
 @dataclass
 class TraceConfig:
     h0: float = 1e-2
-    h_max: float = 0.2
+    h_max: float = 1.0
     max_corrector_iters: int = 10
     max_steps: int = 10 ** 6
 
@@ -319,6 +326,10 @@ def trace(hm: HomotopyMap, cfg: TraceConfig | None = None) -> TraceResult:
         if hit is None:  # the step or the landing failed: shrink, retry
             counters["rejected_steps"] += 1
             h *= _SHRINK
+            if landing and t > t_end and tau[-1] < 0:
+                # the landing's start does not depend on h: a retry with
+                # the same start would repeat it, so step halfway to t_end
+                h = min(h, 0.5 * (t_end - t) / tau[-1])
             if h < _H_MIN:
                 return finish("stalled")
             continue

@@ -382,7 +382,7 @@ def test_tangent_is_computed_once_per_successful_corrector(monkeypatch):
 
     monkeypatch.setattr(tracer, "tangent", counting_tangent)
     monkeypatch.setattr(tracer, "correct", counting_correct)
-    result = trace(make_hm(N=100, L=4, seed=0))
+    result = trace(make_hm(N=100, L=4, seed=231))
     assert result.status == "converged"
     assert result.counters["rejected_steps"] > 0
     # the start's tangent stands for the landing's successful corrector
@@ -518,6 +518,45 @@ def test_sample_evaluations_are_split_by_phase(monkeypatch):
     assert c["sample_evals_landing"] % hm.blended.schedule.N == 0
 
 
+def test_failed_landing_is_followed_by_a_path_step(monkeypatch):
+    # the landing starts from the tangent's extrapolation to t_end, which
+    # does not depend on h; after a failed trial the next correct() call is
+    # a path step halfway to t_end, so no landing repeats an earlier one
+    calls, failures = [], []
+
+    def failing_first_landings(hm, u_pred, t_pred, row, cfg, tol=None):
+        calls.append((u_pred.copy(), t_pred))
+        if t_pred == hm.t_end and len(failures) < 2:
+            failures.append(len(calls) - 1)
+            return None
+        return correct(hm, u_pred, t_pred, row, cfg, tol)
+
+    monkeypatch.setattr(tracer, "correct", failing_first_landings)
+    hm = make_hm()
+    result = trace(hm)
+    assert result.status == "converged"
+    assert result.saa_residual <= 1e-12
+    assert len(failures) == 2
+    for i in failures:
+        assert calls[i + 1][1] > hm.t_end
+    starts = [u for u, t_pred in calls if t_pred == hm.t_end]
+    assert len(starts) == 3
+    assert all(not np.array_equal(a, b)
+               for i, a in enumerate(starts) for b in starts[i + 1:])
+
+
+def test_step_cap_of_one_costs_fewer_samples_than_the_old_cap():
+    # sin n = 3, N = 100, L = 4, sample seeds 0-99 (the sin-small benchmark's
+    # first block): a step may span the whole t-interval, and the old cap
+    # h_max = 0.2 bound on most steps
+    def total(cfg):
+        return sum(trace(make_hm(N=100, L=4, seed=seed), cfg)
+                   .counters["sample_evals"] for seed in range(100))
+
+    assert TraceConfig().h_max == 1.0
+    assert total(TraceConfig()) < total(TraceConfig(h_max=0.2))
+
+
 class LoopMap(HomotopyMap):
     """h(x, t) = (x - 0.5)^2 + (t - 0.8)^2 - 0.29: a circle through the start
     (0, 1) that stays above t = 0.26 and meets t = 1 again at x = 1."""
@@ -550,7 +589,7 @@ def test_path_leaving_the_guard_box_is_diverged():
     # the guard box [-2, 2] on the way there
     result = trace(linear_hm(root=100.0, half_width=1.0))
     assert result.status == "diverged-out-of-box"
-    assert result.counters["predictor_steps"] == 16
+    assert result.counters["predictor_steps"] == 12
     assert result.x_star[0] > 2.0 and result.t_star > 0.0
 
 
